@@ -5,26 +5,30 @@
 //
 // Kernels cover the engine's regimes: brev (pure wires, IO-dominated),
 // matmul (MAC-bound), bitmnp (packed-eligible with real fabric logic),
-// idct (large netlist, falls back for MAC feedback) and crc (fabric-held
-// reduction, falls back to the scalar engine by design). Each kernel goes
-// through the full warp flow (profile -> DPM partition -> configure), the
-// stub's real invocation is captured from the WCLA device, the trip count
-// is scaled up (within the data BRAM) so timing is stable, and every
-// engine/width is checked bit-exact against the scalar reference before
-// timing.
+// idct (large netlist whose 20 fabric-feeding MACs run as stage barriers
+// of the packed plan) and crc (a fabric-held XOR recurrence, which stays
+// on the scalar engine by design). Each kernel goes through the full warp
+// flow (profile -> DPM partition -> configure) and the stub's real
+// invocation is captured from the WCLA device. It is timed twice: at the
+// stub's own trip (the short trip the paper flow really runs, one masked
+// block or a few) and with the trip scaled up (within the data BRAM) so
+// wide blocks engage and timing is stable. Every engine/width is checked
+// bit-exact against the scalar reference before timing.
 //
-// Because feedback kernels never run packed through the executor, the
-// sweep also times the bare fabric pass (PackedEvaluator::run on the
-// kernel's mapped netlist) per width — the component this optimization
-// targets — for every kernel with surviving packed nodes.
+// The sweep also times the bare fabric pass (PackedEvaluator::run on the
+// kernel's mapped netlist, all stages in one go) per width — the component
+// the widening vectorizes — for every kernel with surviving packed nodes.
 //
 // Emits BENCH_packed_eval.json in the working directory so the performance
 // trajectory is tracked in-repo.
 //
-// `--check`: skip all timing; verify bit-exactness of every width (and
-// auto) against the scalar engine on all registered workloads, print a
-// table, and exit nonzero on any mismatch. No timing thresholds, so it is
-// stable on shared CI runners.
+// `--check`: skip all timing and verify bit-exactness against the scalar
+// engine on all registered workloads: every width and auto at the stub's
+// real trip and at the scaled trip, plus, on each packed-capable kernel, a
+// trip sweep from 1 to 2*W*64+1 at every width W (and auto) so every
+// masked-block size is covered. Exits nonzero on any mismatch, and on
+// NOPACK: a packed-capable kernel that ran any scalar iteration. No timing
+// thresholds, so it is stable on shared CI runners.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -64,7 +68,10 @@ struct FabricPassResult {
 
 struct KernelResult {
   std::string name;
-  std::uint64_t trip = 0;
+  std::uint64_t real_trip = 0;  // the stub's captured trip
+  double real_scalar_iters_per_sec = 0.0;
+  double real_auto_iters_per_sec = 0.0;
+  std::uint64_t trip = 0;       // scaled trip of the width sweep
   std::size_t luts = 0;
   std::size_t packed_nodes = 0;  // executor plan (0 when the kernel falls back)
   std::size_t fabric_nodes = 0;  // standalone plan timed by the fabric-pass sweep
@@ -155,7 +162,9 @@ KernelResult bench_kernel(const std::string& name) {
   KernelExecutor* exec = flowed.system->wcla().executor();
   sim::Memory& mem = flowed.system->data_mem();
   const KernelInvocation& inv = flowed.invocation;
+  const KernelInvocation& real = flowed.system->wcla().invocation();
   out.trip = inv.trip;
+  out.real_trip = real.trip;
   out.luts = exec->config().netlist.luts.size();
   out.packed_nodes = exec->packed_node_count();
   out.packed_supported = exec->packed_supported();
@@ -165,6 +174,8 @@ KernelResult bench_kernel(const std::string& name) {
   // compare like for like).
   const std::vector<std::uint32_t> snapshot = mem.snapshot_words();
   exec->set_engine(KernelExecutor::EvalEngine::kScalar);
+  out.real_scalar_iters_per_sec = time_engine(*exec, mem, real, 0.4);
+  mem.load_words(0, snapshot);
   const auto scalar_run = run_once(*exec, mem, inv);
   const std::uint64_t scalar_sum = mem.checksum_words();
   out.scalar_iters_per_sec = time_engine(*exec, mem, inv, 0.4);
@@ -199,6 +210,7 @@ KernelResult bench_kernel(const std::string& name) {
   out.auto_bit_exact =
       mem.checksum_words() == scalar_sum && auto_run.acc_final == scalar_run.acc_final;
   out.auto_iters_per_sec = time_engine(*exec, mem, inv, 0.4);
+  out.real_auto_iters_per_sec = time_engine(*exec, mem, real, 0.4);
 
   out.fabric = time_fabric_pass(exec->config().netlist, 0.4, &out.fabric_nodes);
   return out;
@@ -230,11 +242,16 @@ void write_json(const std::vector<KernelResult>& results) {
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"trip\": %llu, \"luts\": %zu, "
                  "\"packed_nodes\": %zu, \"fabric_nodes\": %zu, \"packed_supported\": %s,\n"
+                 "     \"real_trip\": %llu, \"real_scalar_iters_per_sec\": %.4e, "
+                 "\"real_auto_iters_per_sec\": %.4e, \"real_auto_speedup\": %.3f,\n"
                  "     \"scalar_iters_per_sec\": %.4e, \"width_auto_choice\": %u, "
                  "\"auto_iters_per_sec\": %.4e, \"auto_bit_exact\": %s,\n"
                  "     \"executor_widths\": [",
                  r.name.c_str(), static_cast<unsigned long long>(r.trip), r.luts,
                  r.packed_nodes, r.fabric_nodes, r.packed_supported ? "true" : "false",
+                 static_cast<unsigned long long>(r.real_trip), r.real_scalar_iters_per_sec,
+                 r.real_auto_iters_per_sec,
+                 r.real_auto_iters_per_sec / r.real_scalar_iters_per_sec,
                  r.scalar_iters_per_sec, r.width_auto_choice, r.auto_iters_per_sec,
                  r.auto_bit_exact ? "true" : "false");
     for (std::size_t w = 0; w < r.widths.size(); ++w) {
@@ -263,66 +280,157 @@ void write_json(const std::vector<KernelResult>& results) {
   std::printf("wrote BENCH_packed_eval.json\n");
 }
 
+/// Reference result of a scalar run: memory checksum and accumulators.
+struct Reference {
+  std::uint64_t checksum = 0;
+  std::vector<std::uint32_t> acc_final;
+  bool operator==(const Reference&) const = default;
+};
+
+Reference run_reference(KernelExecutor& exec, sim::Memory& mem,
+                        const std::vector<std::uint32_t>& snapshot, const KernelInvocation& inv) {
+  mem.load_words(0, snapshot);
+  const auto run = run_once(exec, mem, inv);
+  return {mem.checksum_words(), run.acc_final};
+}
+
+/// Scalar references for every trip 1..max_trip in one pass of max_trip
+/// iterations. Iteration i of an invocation is iteration 0 of the
+/// invocation advanced by i (stream bases + i*stride, induction registers
+/// + i*step, accumulators carried over), so after each single-iteration
+/// run the memory and accumulators are those of a trip-(i+1) run.
+std::vector<Reference> scalar_prefixes(KernelExecutor& exec, sim::Memory& mem,
+                                       const std::vector<std::uint32_t>& snapshot,
+                                       const KernelInvocation& inv, std::uint64_t max_trip) {
+  const auto& ir = exec.kernel().ir;
+  std::vector<Reference> refs;
+  mem.load_words(0, snapshot);
+  KernelInvocation step = inv;
+  step.trip = 1;
+  for (std::uint64_t trip = 1; trip <= max_trip; ++trip) {
+    const auto run = run_once(exec, mem, step);
+    refs.push_back({mem.checksum_words(), run.acc_final});
+    for (std::size_t s = 0; s < ir.streams.size(); ++s) {
+      step.stream_bases[s] += static_cast<std::uint32_t>(ir.streams[s].stride_bytes);
+    }
+    for (const auto& [reg, iv_step] : ir.iv_regs) {
+      step.live_in[reg] += static_cast<std::uint32_t>(iv_step);
+    }
+    step.acc_init = run.acc_final;
+  }
+  return refs;
+}
+
+/// Outcome of one check cell: engines agree, and whether a packed-capable
+/// kernel ran any scalar iteration (NOPACK).
+struct Cell {
+  bool exact = true;
+  bool nopack = false;
+  bool scalar_only = true;  // no packed iteration ran
+
+  void add(const Reference& got, const Reference& want, const hwsim::KernelRunResult& run,
+           bool packed_supported) {
+    exact = exact && got == want;
+    nopack = nopack || (packed_supported && run.scalar_iterations > 0);
+    scalar_only = scalar_only && run.packed_iterations == 0;
+  }
+  std::string text() const {
+    return !exact ? "FAIL" : nopack ? "NOPACK" : scalar_only ? "ok(s)" : "ok";
+  }
+};
+
+constexpr unsigned kModes[] = {1, 2, 4, 0};  // pinned widths, then auto
+
 /// --check: bit-exactness of every width and the auto mode against the
-/// scalar engine, on every registered workload. No timing.
+/// scalar engine, on every registered workload, at the real trip, the
+/// scaled trip and (packed-capable kernels) every trip of the sweep.
 int run_check() {
   bool all_exact = true;
-  bool any_fallback_regression = false;
+  bool any_nopack = false;
   std::printf("packed-eval width check (scalar reference vs. lane-block widths)\n");
-  std::printf("%-8s %8s %6s %9s %6s %8s %8s %8s %8s\n", "kernel", "trip", "nodes",
-              "supported", "auto_w", "W1", "W2", "W4", "auto");
+  std::printf("%-8s %-10s %6s %-13s %6s %8s %8s %8s %8s\n", "kernel", "trip", "nodes",
+              "scalar_reason", "auto_w", "W1", "W2", "W4", "auto");
   for (const auto& workload : workloads::extended_workloads()) {
     auto flowed = run_flow(workload, 2048);
     KernelExecutor* exec = flowed.system->wcla().executor();
     sim::Memory& mem = flowed.system->data_mem();
-    const KernelInvocation& inv = flowed.invocation;
-
+    const bool supported = exec->packed_supported();
     const std::vector<std::uint32_t> snapshot = mem.snapshot_words();
-    exec->set_engine(KernelExecutor::EvalEngine::kScalar);
-    const auto scalar_run = run_once(*exec, mem, inv);
-    const std::uint64_t scalar_sum = mem.checksum_words();
-    exec->set_engine(KernelExecutor::EvalEngine::kAuto);
+    auto record = [&](const Cell (&cells)[4]) {
+      for (const Cell& cell : cells) {
+        all_exact = all_exact && cell.exact;
+        any_nopack = any_nopack || cell.nopack;
+      }
+    };
 
-    std::string cells[4];
-    unsigned auto_width = 0;
-    for (int pass = 0; pass < 4; ++pass) {
-      const unsigned width = (pass < 3) ? kWidths[pass] : 0;  // 0: auto
-      exec->set_packed_options(PackedOptions{width});
-      mem.load_words(0, snapshot);
-      const auto run = run_once(*exec, mem, inv);
-      const bool exact =
-          mem.checksum_words() == scalar_sum && run.acc_final == scalar_run.acc_final;
-      // Packed-capable kernels with room for at least one block must not
-      // silently fall back — that would hide an engine regression. (The
-      // registered workloads have no block-size-dependent stream hazards,
-      // the one legitimate reason a pinned width may drop to scalar; a
-      // NOPACK cell on a future workload means revisit this expectation,
-      // not that the engines disagree.)
-      const bool unexpected_fallback =
-          exec->packed_supported() && run.packed_iterations == 0 &&
-          inv.trip >= ((pass < 3) ? kWidths[pass] : 1u) * hwsim::kPackedWordBits;
-      all_exact = all_exact && exact;
-      any_fallback_regression = any_fallback_regression || unexpected_fallback;
-      if (pass == 3) auto_width = run.packed_width;
-      cells[pass] = !exact ? "FAIL"
-                  : unexpected_fallback ? "NOPACK"
-                  : std::string("ok") + (run.packed_iterations == 0 ? "(s)" : "");
+    // The stub's real trip, then the trip scaled up within the data BRAM.
+    const KernelInvocation& real = flowed.system->wcla().invocation();
+    const KernelInvocation& scaled = flowed.invocation;
+    for (const KernelInvocation* inv : {&real, &scaled}) {
+      exec->set_engine(KernelExecutor::EvalEngine::kScalar);
+      const Reference want = run_reference(*exec, mem, snapshot, *inv);
+      exec->set_engine(KernelExecutor::EvalEngine::kAuto);
+      Cell cells[4];
+      hwsim::KernelRunResult auto_run;
+      for (int m = 0; m < 4; ++m) {
+        exec->set_packed_options(PackedOptions{kModes[m]});
+        mem.load_words(0, snapshot);
+        const auto run = run_once(*exec, mem, *inv);
+        cells[m].add({mem.checksum_words(), run.acc_final}, want, run, supported);
+        if (kModes[m] == 0) auto_run = run;
+      }
+      record(cells);
+      std::printf("%-8s %-10llu %6zu %-13s %6u %8s %8s %8s %8s\n", workload.name.c_str(),
+                  static_cast<unsigned long long>(inv->trip), exec->packed_node_count(),
+                  hwsim::scalar_reason_name(auto_run.scalar_reason), auto_run.packed_width,
+                  cells[0].text().c_str(), cells[1].text().c_str(), cells[2].text().c_str(),
+                  cells[3].text().c_str());
     }
-    std::printf("%-8s %8llu %6zu %9s %6u %8s %8s %8s %8s\n", workload.name.c_str(),
-                static_cast<unsigned long long>(inv.trip), exec->packed_node_count(),
-                exec->packed_supported() ? "yes" : "no", auto_width, cells[0].c_str(),
-                cells[1].c_str(), cells[2].c_str(), cells[3].c_str());
+    if (!supported) continue;
+
+    // Trip sweep: 1..2*W*64+1 per pinned width W (auto: the widest W), capped
+    // by the largest trip that fits the data BRAM.
+    const std::uint64_t limit = std::min<std::uint64_t>(
+        flowed.invocation.trip, 2 * hwsim::kMaxPackedLanes + 1);
+    exec->set_engine(KernelExecutor::EvalEngine::kScalar);
+    const std::vector<Reference> refs =
+        scalar_prefixes(*exec, mem, snapshot, flowed.invocation, limit);
+    KernelInvocation inv = flowed.invocation;
+    inv.trip = limit;
+    // The prefix references must agree with a direct scalar run.
+    const bool refs_ok = run_reference(*exec, mem, snapshot, inv) == refs.back();
+    all_exact = all_exact && refs_ok;
+    Cell cells[4];
+    exec->set_engine(KernelExecutor::EvalEngine::kAuto);
+    for (int m = 0; m < 4; ++m) {
+      const unsigned width = kModes[m] != 0 ? kModes[m] : hwsim::kMaxPackedWidth;
+      exec->set_packed_options(PackedOptions{kModes[m]});
+      const std::uint64_t max_trip =
+          std::min<std::uint64_t>(limit, 2 * width * hwsim::kPackedWordBits + 1);
+      for (inv.trip = 1; inv.trip <= max_trip; ++inv.trip) {
+        mem.load_words(0, snapshot);
+        const auto run = run_once(*exec, mem, inv);
+        cells[m].add({mem.checksum_words(), run.acc_final}, refs[inv.trip - 1], run, supported);
+      }
+    }
+    record(cells);
+    std::printf("%-8s %-10s %6s %-13s %6s %8s %8s %8s %8s\n", "",
+                ("1.." + std::to_string(limit)).c_str(), "",
+                refs_ok ? "(sweep)" : "(ref FAIL)", "",
+                cells[0].text().c_str(), cells[1].text().c_str(), cells[2].text().c_str(),
+                cells[3].text().c_str());
   }
-  std::printf("(s) = ran entirely on the scalar engine (fallback path)\n");
+  std::printf("(s) = ran entirely on the scalar engine (fallback path); sweep rows run\n"
+              "      every trip from 1 to min(2*W*64+1, last) at width W (auto: W=4)\n");
   if (!all_exact) {
     std::fprintf(stderr, "FAIL: engines disagree\n");
     return 1;
   }
-  if (any_fallback_regression) {
+  if (any_nopack) {
     std::fprintf(stderr,
-                 "FAIL: packed engine never engaged on a packed-capable kernel "
-                 "(NOPACK above) — results are still bit-exact, but the packed "
-                 "path regressed to the scalar fallback\n");
+                 "FAIL: a packed-capable kernel ran scalar iterations (NOPACK above) — "
+                 "results are still bit-exact, but part of the trip fell back to the "
+                 "scalar engine\n");
     return 1;
   }
   std::printf("all widths bit-exact\n");
@@ -342,8 +450,8 @@ int main(int argc, char** argv) {
       {"brev", true},    // pure wires, IO-dominated
       {"matmul", true},  // MAC-bound
       {"bitmnp", true},  // packed-eligible with real fabric logic
-      {"idct", false},   // large netlist; MAC feedback forces scalar
-      {"crc", false},    // fabric-held reduction forces scalar
+      {"idct", true},    // large netlist; MAC results staged in the plan
+      {"crc", false},    // fabric-held XOR recurrence stays scalar
   };
   std::vector<KernelResult> results;
   for (const auto& entry : kernels) results.push_back(bench_kernel(entry.name));
@@ -364,6 +472,10 @@ int main(int argc, char** argv) {
     std::printf("%-8s %8llu %6zu %6zu %12.3e | %-34s | %6u %12.3e\n", r.name.c_str(),
                 static_cast<unsigned long long>(r.trip), r.luts, r.packed_nodes,
                 r.scalar_iters_per_sec, widths, r.width_auto_choice, r.auto_iters_per_sec);
+    std::printf("  real trip %llu: scalar %.3e it/s, auto %.3e it/s (%.1fx)\n",
+                static_cast<unsigned long long>(r.real_trip), r.real_scalar_iters_per_sec,
+                r.real_auto_iters_per_sec,
+                r.real_auto_iters_per_sec / r.real_scalar_iters_per_sec);
     if (!r.fabric.empty()) {
       std::printf("  fabric pass: W1 %.3e  W2 %.3e (%.2fx)  W4 %.3e (%.2fx) it/s\n",
                   r.fabric[0].iters_per_sec, r.fabric[1].iters_per_sec,

@@ -11,12 +11,50 @@ namespace warp::hwsim {
 using synth::HwKernel;
 using techmap::PortSpec;
 
+const char* scalar_reason_name(ScalarReason reason) {
+  switch (reason) {
+    case ScalarReason::kNone: return "none";
+    case ScalarReason::kAccFeedback: return "acc_feedback";
+    case ScalarReason::kMacOrder: return "mac_order";
+    case ScalarReason::kStreamHazard: return "stream_hazard";
+    case ScalarReason::kVerify: return "verify";
+    case ScalarReason::kForced: return "forced";
+  }
+  return "unknown";
+}
+
 KernelExecutor::KernelExecutor(const HwKernel& kernel, const fabric::FabricConfig& config,
                                PackedOptions packed)
     : kernel_(kernel), config_(config) {
   set_packed_options(packed);
   bind_ports();
-  if (packed_supported_) packed_.emplace(config_.netlist);
+  compile_packed_plan();
+}
+
+void KernelExecutor::compile_packed_plan() {
+  if (kernel_reason_ != ScalarReason::kNone) return;
+  // Each MAC result is a plan stage; everything else enters at the base.
+  std::vector<int> input_stage(input_bindings_.size(), PackedEvaluator::kBaseStage);
+  for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
+    if (input_bindings_[i].kind == InputBinding::Kind::kMacResult) {
+      input_stage[i] = static_cast<int>(input_bindings_[i].a);
+    }
+  }
+  packed_.emplace(config_.netlist, input_stage);
+  // The scalar engine reads MAC m's operands with results 0..m-1 final and
+  // the rest zero. Staged evaluation reproduces that only when no operand
+  // cone reaches result m or later.
+  for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
+    for (const OutputGroup* group : {&mac_a_groups_[m], &mac_b_groups_[m]}) {
+      for (const OutputBit& ob : *group) {
+        if (packed_->output_stage(ob.output_index) >= static_cast<int>(m)) {
+          packed_.reset();
+          kernel_reason_ = ScalarReason::kMacOrder;
+          return;
+        }
+      }
+    }
+  }
 }
 
 void KernelExecutor::set_packed_options(PackedOptions packed) {
@@ -61,7 +99,7 @@ void KernelExecutor::bind_ports() {
     }
   }
 
-  packed_supported_ = true;
+  mac_result_bits_.assign(kernel_.mac_ops.size(), {});
   input_bindings_.resize(netlist.primary_inputs.size());
   for (std::size_t i = 0; i < netlist.primary_inputs.size(); ++i) {
     const PortSpec& spec = input_ports[i];
@@ -89,11 +127,15 @@ void KernelExecutor::bind_ports() {
         break;
       case PortSpec::Kind::kMacResult:
         binding.kind = InputBinding::Kind::kMacResult;
-        packed_supported_ = false;  // intra-iteration MAC -> fabric feedback
+        if (spec.a >= mac_result_bits_.size()) {
+          throw common::InternalError("executor: MAC result input out of range: " +
+                                      netlist.primary_inputs[i]);
+        }
+        mac_result_bits_[spec.a].emplace_back(i, spec.bit);
         break;
       case PortSpec::Kind::kAccState:
         binding.kind = InputBinding::Kind::kAccState;
-        packed_supported_ = false;  // cross-iteration accumulator feedback
+        kernel_reason_ = ScalarReason::kAccFeedback;  // cross-iteration recurrence
         break;
       default:
         throw common::InternalError("executor: unknown input port " +
@@ -198,6 +240,8 @@ bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
   const auto& ir = kernel_.ir;
   if (invocation.trip == 0) return true;
   const std::int64_t last_iter = static_cast<std::int64_t>(invocation.trip) - 1;
+  const std::int64_t window =
+      static_cast<std::int64_t>(std::min<std::uint64_t>(block_lanes, invocation.trip));
 
   struct Range {
     std::int64_t lo = 0;
@@ -253,7 +297,7 @@ bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
           // diff - stride*d bytes apart; their elem-byte intervals overlap
           // when that gap is smaller than an element. d == 0 (same
           // iteration) is safe: both engines read before writing.
-          for (std::int64_t d = 1; d < static_cast<std::int64_t>(block_lanes); ++d) {
+          for (std::int64_t d = 1; d < window; ++d) {
             const std::int64_t gap = diff - static_cast<std::int64_t>(w.stride_bytes) * d;
             if (gap > -w.elem_bytes && gap < w.elem_bytes) return false;
           }
@@ -265,9 +309,9 @@ bool KernelExecutor::streams_hazard_free(const KernelInvocation& invocation,
 }
 
 unsigned KernelExecutor::select_packed_width(const KernelInvocation& invocation) const {
-  // A pinned width is honored as-is (hazards drop to scalar, matching the
-  // historical W=1 semantics); auto mode starts from the trip/plan-size
-  // heuristic and narrows the block until its hazard window closes.
+  // A pinned width is honored as-is (hazards drop to scalar); auto mode
+  // starts from the trip/plan-size heuristic and narrows the block until
+  // its hazard window closes.
   if (packed_options_.width != 0) {
     return streams_hazard_free(invocation, packed_options_.width * kPackedWordBits)
                ? packed_options_.width
@@ -309,19 +353,32 @@ common::Result<KernelRunResult> KernelExecutor::run(sim::Memory& memory,
   }
 
   KernelRunResult result;
-  const unsigned width = (packed_supported_ && !verify_against_dfg &&
-                          engine_ != EvalEngine::kScalar)
-                             ? select_packed_width(invocation)
-                             : 0;
+  result.scalar_reason = verify_against_dfg            ? ScalarReason::kVerify
+                         : engine_ == EvalEngine::kScalar ? ScalarReason::kForced
+                                                          : kernel_reason_;
+  unsigned width = 0;
+  if (result.scalar_reason == ScalarReason::kNone) {
+    width = select_packed_width(invocation);
+    if (width == 0) result.scalar_reason = ScalarReason::kStreamHazard;
+  }
   std::uint64_t iter = 0;
   if (width != 0) {
+    // Full blocks at the selected width, then the remainder as one masked
+    // block at the narrowest width that holds it.
     packed_->set_width(width);
     const std::uint64_t block = std::uint64_t{width} * kPackedWordBits;
     for (; iter + block <= invocation.trip; iter += block) {
-      run_packed_block(memory, invocation, iter, acc, width);
+      run_packed_block(memory, invocation, iter, static_cast<unsigned>(block), acc);
+    }
+    if (iter != 0) result.packed_width = width;
+    if (iter < invocation.trip) {
+      const auto rest = static_cast<unsigned>(invocation.trip - iter);
+      packed_->set_width(PackedEvaluator::covering_width(rest, width));
+      run_packed_block(memory, invocation, iter, rest, acc);
+      result.packed_width = std::max(result.packed_width, packed_->width());
+      iter = invocation.trip;
     }
     result.packed_iterations = iter;
-    if (iter != 0) result.packed_width = width;
   }
   for (; iter < invocation.trip; ++iter) {
     run_scalar_iter(memory, invocation, iter, acc, verify_against_dfg);
@@ -465,10 +522,9 @@ void KernelExecutor::run_scalar_iter(sim::Memory& memory, const KernelInvocation
   }
 }
 
-void KernelExecutor::unpack_group(const OutputGroup& group, std::uint64_t* words,
-                                  unsigned width) const {
-  const unsigned block_lanes = width * kPackedWordBits;
-  std::fill(words, words + block_lanes, 0);
+void KernelExecutor::unpack_group(const OutputGroup& group, std::uint64_t* words) const {
+  const unsigned width = packed_->width();
+  std::fill(words, words + packed_->lanes(), 0);
   for (const OutputBit& ob : group) {
     for (unsigned w = 0; w < width; ++w) {
       words[ob.bit * width + w] = packed_->output(ob.output_index, w);
@@ -478,15 +534,16 @@ void KernelExecutor::unpack_group(const OutputGroup& group, std::uint64_t* words
 }
 
 void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocation& invocation,
-                                      std::uint64_t iter0, std::vector<std::uint32_t>& acc,
-                                      unsigned width) {
+                                      std::uint64_t iter0, unsigned active,
+                                      std::vector<std::uint32_t>& acc) {
   const auto& ir = kernel_.ir;
-  const unsigned block_lanes = width * kPackedWordBits;
+  const unsigned width = packed_->width();
+  const unsigned block_lanes = packed_->lanes();
 
-  // 1. Batched DADG reads: width*64 iterations of every read tap, loaded
-  //    one word per iteration and block-transposed in place into lane
-  //    blocks (the width words at row b*width = the lane block of tap
-  //    bit b).
+  // 1. Batched DADG reads: the active iterations of every read tap, loaded
+  //    one word per iteration (inactive lanes zero) and block-transposed in
+  //    place into lane blocks (the width words at row b*width = the lane
+  //    block of tap bit b).
   for (std::size_t s = 0; s < ir.streams.size(); ++s) {
     const auto& stream = ir.streams[s];
     if (stream.is_write) continue;
@@ -494,7 +551,7 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
       auto& words = block_taps_[tap_base_[s] + t];
       const std::uint32_t tap_offset =
           invocation.stream_bases[s] + t * static_cast<std::uint32_t>(stream.tap_stride_bytes);
-      for (unsigned j = 0; j < block_lanes; ++j) {
+      for (unsigned j = 0; j < active; ++j) {
         const std::uint32_t addr =
             tap_offset +
             static_cast<std::uint32_t>(static_cast<std::int64_t>(stream.stride_bytes) *
@@ -505,20 +562,21 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
           default: words[j] = memory.read32(addr); break;
         }
       }
+      std::fill(words.begin() + active, words.begin() + block_lanes, 0);
       common::transpose64_blocked(words.data(), width);
     }
   }
 
   // Induction-variable lane blocks, one row set per iv reg.
   for (std::size_t p = 0; p < ir.iv_regs.size(); ++p) {
-    for (unsigned j = 0; j < block_lanes; ++j) {
-      iv_planes_[p][j] = iv_value(static_cast<int>(p), iter0 + j);
-    }
-    common::transpose64_blocked(iv_planes_[p].data(), width);
+    auto& planes = iv_planes_[p];
+    for (unsigned j = 0; j < active; ++j) planes[j] = iv_value(static_cast<int>(p), iter0 + j);
+    std::fill(planes.begin() + active, planes.begin() + block_lanes, 0);
+    common::transpose64_blocked(planes.data(), width);
   }
 
-  // 2. Wire the lane blocks to the fabric inputs and evaluate all width*64
-  //    iterations in one pass.
+  // 2. Wire the lane blocks to the fabric inputs. MAC-result inputs are
+  //    set at their stage barrier below.
   for (std::size_t i = 0; i < input_bindings_.size(); ++i) {
     const InputBinding& binding = input_bindings_[i];
     switch (binding.kind) {
@@ -540,34 +598,55 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
         }
         break;
       case InputBinding::Kind::kMacResult:
+        break;
       case InputBinding::Kind::kAccState:
-        throw common::InternalError("executor: feedback input on the packed path");
+        throw common::InternalError("executor: accumulator feedback on the packed path");
     }
   }
-  packed_->run();
 
-  // 3. MAC accumulations: operands come out of the packed pass; the
-  //    width*64 products are summed in iteration order.
-  std::array<std::uint64_t, kMaxPackedLanes> words_a;
-  std::array<std::uint64_t, kMaxPackedLanes> words_b;
+  // 3. Evaluate stage by stage with each MAC as a barrier, in MAC order
+  //    (the scalar engine's order): run the stages MAC m's operands need,
+  //    multiply per lane, then either sum the active lanes' products into
+  //    the accumulator (in iteration order) or transpose them into the
+  //    MAC-result inputs that stage m reads.
+  std::array<std::uint64_t, kMaxPackedLanes> words_a{};  // operands A, then products
+  std::array<std::uint64_t, kMaxPackedLanes> words_b{};
+  int next_stage = PackedEvaluator::kBaseStage;
   for (std::size_t m = 0; m < kernel_.mac_ops.size(); ++m) {
-    if (!kernel_.mac_ops[m].accumulate) continue;  // feedback MACs never get here
-    unpack_group(mac_a_groups_[m], words_a.data(), width);
-    unpack_group(mac_b_groups_[m], words_b.data(), width);
-    std::uint32_t sum = 0;
-    for (unsigned j = 0; j < block_lanes; ++j) {
-      sum += static_cast<std::uint32_t>(words_a[j]) * static_cast<std::uint32_t>(words_b[j]);
+    const int stage = static_cast<int>(m);
+    packed_->run(next_stage, stage - 1);
+    next_stage = stage;
+    unpack_group(mac_a_groups_[m], words_a.data());
+    unpack_group(mac_b_groups_[m], words_b.data());
+    const synth::MacOp& op = kernel_.mac_ops[m];
+    if (op.accumulate) {
+      std::uint32_t sum = 0;
+      for (unsigned j = 0; j < active; ++j) {
+        sum += static_cast<std::uint32_t>(words_a[j]) *
+               static_cast<std::uint32_t>(words_b[j]);
+      }
+      acc[static_cast<std::size_t>(op.acc_index)] += sum;
+      continue;
     }
-    acc[static_cast<std::size_t>(kernel_.mac_ops[m].acc_index)] += sum;
+    for (unsigned j = 0; j < block_lanes; ++j) {
+      const std::uint32_t product = static_cast<std::uint32_t>(words_a[j]) *
+                                    static_cast<std::uint32_t>(words_b[j]);
+      words_a[j] = product;
+    }
+    common::transpose64_blocked(words_a.data(), width);
+    for (const auto& [input, bit] : mac_result_bits_[m]) {
+      packed_->set_input_block(input, &words_a[bit * width]);
+    }
   }
+  packed_->run(next_stage, packed_->num_stages() - 1);
 
-  // 4. Stream writes, in iteration-major order (the scalar engine's order,
-  //    in case two write taps alias).
+  // 4. Stream writes of the active lanes, in iteration-major order (the
+  //    scalar engine's order, in case two write taps alias).
   if (!kernel_.write_outputs.empty()) {
     for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
-      unpack_group(write_groups_[w], write_words_[w].data(), width);
+      unpack_group(write_groups_[w], write_words_[w].data());
     }
-    for (unsigned j = 0; j < block_lanes; ++j) {
+    for (unsigned j = 0; j < active; ++j) {
       for (std::size_t w = 0; w < kernel_.write_outputs.size(); ++w) {
         const auto& out = kernel_.write_outputs[w];
         const auto& stream = ir.streams[out.stream];
@@ -587,14 +666,16 @@ void KernelExecutor::run_packed_block(sim::Memory& memory, const KernelInvocatio
   }
 
   // 5. Fabric-held accumulator outputs without state feedback recompute the
-  //    same function every iteration; the final value is the last lane's
-  //    (bit 63 of the last word of the block).
+  //    same function every iteration; the final value is the last active
+  //    lane's.
+  const unsigned last_word = (active - 1) / kPackedWordBits;
+  const unsigned last_bit = (active - 1) % kPackedWordBits;
   for (const auto& out : kernel_.acc_outputs) {
     if (out.via_mac) continue;
     std::uint32_t word = 0;
     for (const OutputBit& ob : acc_next_groups_[out.acc_index]) {
-      const std::uint64_t lane = packed_->output(ob.output_index, width - 1);
-      word |= static_cast<std::uint32_t>((lane >> (kPackedWordBits - 1)) & 1u) << ob.bit;
+      const std::uint64_t lane = packed_->output(ob.output_index, last_word);
+      word |= static_cast<std::uint32_t>((lane >> last_bit) & 1u) << ob.bit;
     }
     acc[out.acc_index] = word;
   }

@@ -11,17 +11,25 @@
 //   clock  = fabric clock after critical-path derating
 //
 // Two evaluation engines back the same cycle model:
-//   - a packed lane-block engine (PackedEvaluator) that evaluates W*64 loop
-//     iterations per pass (W in {1,2,4}, fixed via PackedOptions or chosen
-//     per run), one contiguous W-word lane block per net, with batched
-//     stream tap reads and writes per block — used whenever the kernel has
-//     no per-iteration feedback into the fabric (MAC results or accumulator
-//     state feeding back) and the invocation's read/write streams cannot
-//     alias within a block (auto mode narrows the block until it is
-//     hazard-free before giving up);
+//   - a packed lane-block engine (PackedEvaluator) that evaluates up to W*64
+//     loop iterations per pass (W in {1,2,4}, fixed via PackedOptions or
+//     chosen per run), one contiguous W-word lane block per net, with
+//     batched stream tap reads and writes per block. A trip runs as full
+//     blocks at the selected width plus one masked block, at the narrowest
+//     width that covers the remainder, whose inactive lanes are never read
+//     or written — so a short trip is one masked block, not a scalar tail.
+//     Non-accumulating MACs whose results feed the fabric are stage
+//     barriers in the plan: the executor evaluates the stages a MAC's
+//     operands need, multiplies per lane, and feeds the products into the
+//     MAC-result inputs before evaluating the stages that consume them;
 //   - the scalar reference engine (one iteration at a time over the shared
-//     techmap::resolve_ref reference semantics), used for the loop tail,
-//     for feedback kernels, and for the golden DFG cross-check mode.
+//     techmap::resolve_ref reference semantics). It runs only when packing
+//     would change the result or was not asked for, and every run reports
+//     why (KernelRunResult::scalar_reason): accumulator state fed back
+//     into the fabric (a true cross-iteration recurrence), a MAC operand
+//     that reads its own or a later MAC's result, write streams that may
+//     alias read streams within one block, the golden DFG cross-check
+//     mode, or a forced kScalar engine.
 //
 // The executor also provides a golden cross-check mode that evaluates the
 // original dataflow graph and verifies the fabric against it per iteration.
@@ -31,6 +39,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -51,26 +60,40 @@ struct KernelInvocation {
   std::vector<std::uint32_t> acc_init;            // per accumulator
 };
 
+/// Why a run took the scalar reference engine instead of the packed one.
+enum class ScalarReason : std::uint8_t {
+  kNone,          // ran packed
+  kAccFeedback,   // the fabric reads accumulator state (cross-iteration)
+  kMacOrder,      // a MAC operand reads its own or a later MAC's result
+  kStreamHazard,  // a write may alias a read within one block
+  kVerify,        // golden DFG cross-check mode
+  kForced,        // EvalEngine::kScalar
+};
+
+/// Stable lower-case name ("none", "acc_feedback", ...) for reports.
+const char* scalar_reason_name(ScalarReason reason);
+
 struct KernelRunResult {
   std::uint64_t wcla_cycles = 0;
   double clock_mhz = 0.0;
   double time_ns = 0.0;
   std::vector<std::uint32_t> acc_final;  // per accumulator
-  // Engine split, for tests and the microbenchmark: how many iterations ran
-  // through the packed lane-block engine vs. the scalar reference engine,
-  // and the lane-block width (in 64-bit words) the packed passes used
-  // (0 when no packed pass ran).
+  // Engine split, for tests, the microbenchmark and the ledger: how many
+  // iterations ran through the packed lane-block engine vs. the scalar
+  // reference engine, the widest lane block (in 64-bit words) a packed
+  // pass used (0 when no packed pass ran), and why the run was scalar.
   std::uint64_t packed_iterations = 0;
   std::uint64_t scalar_iterations = 0;
   unsigned packed_width = 0;
+  ScalarReason scalar_reason = ScalarReason::kNone;
 };
 
 class KernelExecutor {
  public:
   /// Which evaluation engine run() uses. kAuto picks the packed engine
-  /// whenever it is safe (no feedback, no intra-block stream aliasing) and
-  /// falls back to the scalar reference otherwise; kScalar forces the
-  /// reference engine (the microbenchmark's baseline).
+  /// whenever it matches the scalar semantics (see ScalarReason) and falls
+  /// back to the scalar reference otherwise; kScalar forces the reference
+  /// engine (the microbenchmark's baseline).
   enum class EvalEngine : std::uint8_t { kAuto, kScalar };
 
   /// `kernel` and `config` must outlive the executor. `packed` pins or
@@ -91,10 +114,11 @@ class KernelExecutor {
   /// the width-sweep microbenchmark). Throws on unsupported widths.
   void set_packed_options(PackedOptions packed);
   const PackedOptions& packed_options() const { return packed_options_; }
-  /// True when the kernel itself permits packed evaluation (no MAC-result
-  /// or accumulator-state feedback into the fabric). Individual invocations
-  /// may still fall back when their streams alias.
-  bool packed_supported() const { return packed_supported_; }
+  /// True when the kernel itself permits packed evaluation: no accumulator
+  /// state input, and every MAC operand cone reads only earlier MACs'
+  /// results. Individual invocations may still fall back when their
+  /// streams alias.
+  bool packed_supported() const { return packed_.has_value(); }
   /// LUT nodes surviving the packed plan's constant/wire folding (0 when
   /// the kernel cannot use the packed engine).
   std::size_t packed_node_count() const { return packed_ ? packed_->node_count() : 0; }
@@ -122,15 +146,18 @@ class KernelExecutor {
   using OutputGroup = std::vector<OutputBit>;
 
   void bind_ports();
+  /// Compile the staged packed plan, or record why the kernel cannot use
+  /// it (kernel_reason_).
+  void compile_packed_plan();
   std::uint32_t read_group_word(const OutputGroup& group,
                                 const std::vector<bool>& lut_values) const;
   int find_write_node(unsigned stream, unsigned tap) const;
 
   /// True when the invocation's write streams cannot feed a read stream
-  /// within one `block_lanes`-iteration block (packed batching preserves
-  /// the scalar read-then-write order only across iterations in different
-  /// positions). Wider blocks widen the hazard window, so this is checked
-  /// per candidate width.
+  /// within one block of `block_lanes` iterations (packed batching
+  /// preserves the scalar read-then-write order only across iterations in
+  /// different blocks). The window is min(block_lanes, trip): wider blocks
+  /// widen it, so this is checked per candidate width.
   bool streams_hazard_free(const KernelInvocation& invocation, unsigned block_lanes) const;
   /// Lane-block width (words) the packed engine will use for this
   /// invocation; 0 when the invocation must run scalar.
@@ -139,29 +166,33 @@ class KernelExecutor {
   void run_scalar_iter(sim::Memory& memory, const KernelInvocation& invocation,
                        std::uint64_t iter, std::vector<std::uint32_t>& acc,
                        bool verify_against_dfg);
+  /// One block at the evaluator's current width with iterations
+  /// [iter0, iter0 + active) live; active <= packed_->lanes().
   void run_packed_block(sim::Memory& memory, const KernelInvocation& invocation,
-                        std::uint64_t iter0, std::vector<std::uint32_t>& acc, unsigned width);
+                        std::uint64_t iter0, unsigned active, std::vector<std::uint32_t>& acc);
 
   std::uint32_t iv_value(int iv_pos, std::uint64_t iter) const;
   /// Gather a word group out of the packed pass: lane blocks in, one word
-  /// per iteration out (in the low 32 bits of each of the width*64 rows).
-  void unpack_group(const OutputGroup& group, std::uint64_t* words, unsigned width) const;
+  /// per iteration out (in the low 32 bits of each of the lanes() rows).
+  void unpack_group(const OutputGroup& group, std::uint64_t* words) const;
 
   const synth::HwKernel& kernel_;
   const fabric::FabricConfig& config_;
   EvalEngine engine_ = EvalEngine::kAuto;
   PackedOptions packed_options_;
-  bool packed_supported_ = false;
+  ScalarReason kernel_reason_ = ScalarReason::kNone;  // kNone iff packed_ is set
 
   std::vector<InputBinding> input_bindings_;  // per primary input
   std::vector<OutputGroup> write_groups_;     // per kernel write output
   std::vector<OutputGroup> mac_a_groups_;     // per MAC op
   std::vector<OutputGroup> mac_b_groups_;     // per MAC op
   std::vector<OutputGroup> acc_next_groups_;  // per accumulator
+  // Per MAC op: the (primary input, bit) pairs its result drives.
+  std::vector<std::vector<std::pair<std::size_t, unsigned>>> mac_result_bits_;
   std::unordered_map<std::uint32_t, int> write_node_;  // (stream<<16|tap) -> DFG node
   std::vector<unsigned> tap_base_;            // per stream: flattened tap index base
 
-  std::optional<PackedEvaluator> packed_;  // compiled only when supported
+  std::optional<PackedEvaluator> packed_;  // staged plan, compiled only when supported
 
   // Per-run state (valid during run()).
   std::vector<std::uint32_t> iv_init_;        // per ir.iv_regs entry

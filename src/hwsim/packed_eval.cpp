@@ -1,7 +1,6 @@
 #include "hwsim/packed_eval.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 
 #if defined(__AVX2__)
@@ -36,8 +35,12 @@ constexpr std::uint32_t kUnassigned = ~0u;
 
 }  // namespace
 
-PackedEvaluator::PackedEvaluator(const techmap::LutNetlist& netlist) {
+PackedEvaluator::PackedEvaluator(const techmap::LutNetlist& netlist,
+                                 const std::vector<int>& input_stage) {
   num_inputs_ = netlist.primary_inputs.size();
+  if (!input_stage.empty() && input_stage.size() != num_inputs_) {
+    throw common::InternalError("packed_eval: input stage count mismatch");
+  }
 
   // Slot 0/1 hold the constant lanes; inputs follow; surviving LUTs after.
   const std::uint32_t first_node_slot = static_cast<std::uint32_t>(2 + num_inputs_);
@@ -115,23 +118,41 @@ PackedEvaluator::PackedEvaluator(const techmap::LutNetlist& netlist) {
     lut_slot[i] = node.out;
   }
 
-  // Reorder surviving nodes by mux-tree level and renumber their slots in
-  // the new evaluation order: a level-L node's fanins then live in the
-  // contiguous slot range of levels < L, so wide lane blocks stream through
-  // the lane array mostly sequentially instead of hopping in the mapper's
-  // emission order. Level order is still topological (every edge increases
-  // the level), so one forward pass stays correct.
+  // Stage every slot (constants and unstaged inputs: kBaseStage), then
+  // reorder surviving nodes by (stage, mux-tree level) and renumber their
+  // slots in the new evaluation order. Within a stage a level-L node's
+  // fanins then live in the contiguous slot range of levels < L, so wide
+  // lane blocks stream through the lane array mostly sequentially instead
+  // of hopping in the mapper's emission order. The order stays topological
+  // (every edge keeps or raises the stage and raises the level), so one
+  // forward pass, or consecutive stage ranges, stay correct.
+  std::vector<int> slot_stage(next_slot, kBaseStage);
+  int max_stage = kBaseStage;
+  for (std::size_t i = 0; i < input_stage.size(); ++i) {
+    if (input_stage[i] < kBaseStage) {
+      throw common::InternalError("packed_eval: input stage below the base stage");
+    }
+    slot_stage[2 + i] = input_stage[i];
+    max_stage = std::max(max_stage, input_stage[i]);
+  }
   {
     std::vector<unsigned> slot_level(next_slot, 0);
     for (const PackedNode& n : nodes_) {
       unsigned level = 0;
-      for (const std::uint32_t in : n.in) level = std::max(level, slot_level[in]);
+      int stage = kBaseStage;
+      for (const std::uint32_t in : n.in) {
+        level = std::max(level, slot_level[in]);
+        stage = std::max(stage, slot_stage[in]);
+      }
       slot_level[n.out] = level + 1;
+      slot_stage[n.out] = stage;
     }
     std::vector<std::uint32_t> order(nodes_.size());
     std::iota(order.begin(), order.end(), 0u);
     std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return slot_level[nodes_[a].out] < slot_level[nodes_[b].out];
+      const std::uint32_t oa = nodes_[a].out, ob = nodes_[b].out;
+      if (slot_stage[oa] != slot_stage[ob]) return slot_stage[oa] < slot_stage[ob];
+      return slot_level[oa] < slot_level[ob];
     });
     std::vector<std::uint32_t> remap(next_slot);
     std::iota(remap.begin(), remap.end(), 0u);
@@ -140,25 +161,35 @@ PackedEvaluator::PackedEvaluator(const techmap::LutNetlist& netlist) {
 
     std::vector<PackedNode> reordered;
     reordered.reserve(nodes_.size());
+    stage_begin_.assign(static_cast<std::size_t>(max_stage) + 3, 0);
     for (const std::uint32_t i : order) {
       PackedNode node = nodes_[i];
+      ++stage_begin_[static_cast<std::size_t>(slot_stage[node.out]) + 2];
       node.out = remap[node.out];
       for (std::uint32_t& in : node.in) in = remap[in];
       reordered.push_back(node);
     }
+    std::partial_sum(stage_begin_.begin(), stage_begin_.end(), stage_begin_.begin());
     nodes_ = std::move(reordered);
+    std::vector<int> remapped_stage(next_slot, kBaseStage);
+    for (std::uint32_t s = 0; s < next_slot; ++s) remapped_stage[remap[s]] = slot_stage[s];
+    slot_stage = std::move(remapped_stage);
     for (std::uint32_t& slot_ref : lut_slot) {
       if (slot_ref != kUnassigned) slot_ref = remap[slot_ref];
     }
   }
 
   num_slots_ = next_slot;
-  lanes_.assign(num_slots_, 0);
+  // Sized once for the widest block, so a width change only re-lays the
+  // two constant slots.
+  lanes_.assign(std::size_t{num_slots_} * kMaxPackedWidth, 0);
   lanes_[1] = ~0ull;
 
   output_slot_.resize(netlist.outputs.size());
+  output_stage_.resize(netlist.outputs.size());
   for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
     output_slot_[i] = slot_of(netlist.outputs[i].source);
+    output_stage_[i] = slot_stage[output_slot_[i]];
   }
 }
 
@@ -169,8 +200,8 @@ void PackedEvaluator::set_width(unsigned width) {
   }
   if (width == width_) return;
   width_ = width;
-  lanes_.assign(std::size_t{num_slots_} * width, 0);
-  for (unsigned w = 0; w < width; ++w) lanes_[width + w] = ~0ull;  // constant-1 block
+  std::fill_n(lanes_.begin(), width, 0ull);              // constant-0 block
+  std::fill_n(lanes_.begin() + width, width, ~0ull);     // constant-1 block
 }
 
 unsigned PackedEvaluator::choose_width(std::uint64_t trip) const {
@@ -195,12 +226,13 @@ unsigned PackedEvaluator::choose_width(std::uint64_t trip) const {
 }
 
 template <unsigned W>
-void PackedEvaluator::run_pass() {
+void PackedEvaluator::run_pass(std::size_t begin, std::size_t end) {
   // The mux tree below is written out for 3-input LUTs; a wider fabric LUT
   // needs another select level here (and 2^K masks above).
   static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
   std::uint64_t* lanes = lanes_.data();
-  for (const PackedNode& n : nodes_) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const PackedNode& n = nodes_[i];
     const std::uint64_t* pa = lanes + std::size_t{n.in[0]} * W;
     const std::uint64_t* pb = lanes + std::size_t{n.in[1]} * W;
     const std::uint64_t* pc = lanes + std::size_t{n.in[2]} * W;
@@ -226,52 +258,19 @@ void PackedEvaluator::run_pass() {
 // instead of W unrolled word ops. Dispatch (run() below) prefers, per
 // width, the widest unit the build provides: SSE2 is part of baseline
 // x86-64 so W=2/4 always vectorize there; AVX2 (e.g. -DWARP_NATIVE=ON)
-// does W=4 in single registers; elsewhere W=2 falls back to __uint128_t
-// where the compiler provides it, and the unrolled template otherwise.
-// (A __uint128_t pass was also measured on x86-64 and lost to both the
-// unrolled template and SSE2 — the per-node mask broadcasts compile
-// poorly there — so it is only the non-x86 fallback.)
-#if defined(__SIZEOF_INT128__) && !defined(__SSE2__)
-void PackedEvaluator::run_pass_u128() {
-  static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
-  using u128 = unsigned __int128;
-  const auto load = [](const std::uint64_t* p) {
-    u128 v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  };
-  const auto bcast = [](std::uint64_t m) { return (u128{m} << 64) | m; };
-  std::uint64_t* lanes = lanes_.data();
-  for (const PackedNode& n : nodes_) {
-    const u128 a = load(lanes + std::size_t{n.in[0]} * 2);
-    const u128 b = load(lanes + std::size_t{n.in[1]} * 2);
-    const u128 c = load(lanes + std::size_t{n.in[2]} * 2);
-    const u128 na = ~a, nb = ~b, nc = ~c;
-    const u128 s0 = (na & bcast(n.mask[0])) | (a & bcast(n.mask[1]));
-    const u128 s1 = (na & bcast(n.mask[2])) | (a & bcast(n.mask[3]));
-    const u128 s2 = (na & bcast(n.mask[4])) | (a & bcast(n.mask[5]));
-    const u128 s3 = (na & bcast(n.mask[6])) | (a & bcast(n.mask[7]));
-    const u128 u0 = (nb & s0) | (b & s1);
-    const u128 u1 = (nb & s2) | (b & s3);
-    const u128 out = (nc & u0) | (c & u1);
-    std::memcpy(lanes + std::size_t{n.out} * 2, &out, sizeof(out));
-  }
-}
-#else
-void PackedEvaluator::run_pass_u128() { run_pass<2>(); }
-#endif
-
+// does W=4 in single registers; elsewhere the unrolled template runs.
 #if defined(__SSE2__)
 // One 128-bit op per mux level; W=4 runs the same kernel over both halves.
 template <unsigned W>
-void PackedEvaluator::run_pass_sse2() {
+void PackedEvaluator::run_pass_sse2(std::size_t begin, std::size_t end) {
   static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
   static_assert(W == 2 || W == 4);
   std::uint64_t* lanes = lanes_.data();
   const auto bcast = [](std::uint64_t m) {
     return _mm_set1_epi64x(static_cast<long long>(m));
   };
-  for (const PackedNode& n : nodes_) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const PackedNode& n = nodes_[i];
     const std::uint64_t* pa = lanes + std::size_t{n.in[0]} * W;
     const std::uint64_t* pb = lanes + std::size_t{n.in[1]} * W;
     const std::uint64_t* pc = lanes + std::size_t{n.in[2]} * W;
@@ -302,10 +301,11 @@ void PackedEvaluator::run_pass_sse2() {
 #endif
 
 #if defined(__AVX2__)
-void PackedEvaluator::run_pass_avx2() {
+void PackedEvaluator::run_pass_avx2(std::size_t begin, std::size_t end) {
   static_assert(techmap::kLutInputs == 3, "packed mux tree assumes 3-input LUTs");
   std::uint64_t* lanes = lanes_.data();
-  for (const PackedNode& n : nodes_) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const PackedNode& n = nodes_[i];
     const __m256i a = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(lanes + std::size_t{n.in[0]} * 4));
     const __m256i b = _mm256_loadu_si256(
@@ -333,29 +333,32 @@ void PackedEvaluator::run_pass_avx2() {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + std::size_t{n.out} * 4), out);
   }
 }
-#else
-void PackedEvaluator::run_pass_avx2() { run_pass<4>(); }
 #endif
 
-void PackedEvaluator::run() {
+void PackedEvaluator::run(int first_stage, int last_stage) {
+  first_stage = std::max(first_stage, kBaseStage);
+  last_stage = std::min(last_stage, num_stages() - 1);
+  if (first_stage > last_stage) return;
+  const std::size_t begin = stage_begin_[static_cast<std::size_t>(first_stage + 1)];
+  const std::size_t end = stage_begin_[static_cast<std::size_t>(last_stage + 2)];
   switch (width_) {
     case 1:
-      run_pass<1>();
+      run_pass<1>(begin, end);
       return;
     case 2:
 #if defined(__SSE2__)
-      run_pass_sse2<2>();
+      run_pass_sse2<2>(begin, end);
 #else
-      run_pass_u128();
+      run_pass<2>(begin, end);
 #endif
       return;
     case 4:
 #if defined(__AVX2__)
-      run_pass_avx2();
+      run_pass_avx2(begin, end);
 #elif defined(__SSE2__)
-      run_pass_sse2<4>();
+      run_pass_sse2<4>(begin, end);
 #else
-      run_pass<4>();
+      run_pass<4>(begin, end);
 #endif
       return;
   }
