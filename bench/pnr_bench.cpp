@@ -11,6 +11,10 @@
 //     that need congestion iterations may converge to a different legal
 //     route (the JSON records both critical paths).
 //
+// Every arm is timed over a fixed number of repetitions after one warm-up
+// call; the tool reports the median and the minimum wall time per call,
+// and records the repetition count and the host's thread count.
+//
 // Emits BENCH_pnr.json in the working directory so the performance
 // trajectory is tracked in-repo. Exits nonzero if the two placers disagree
 // or any engine fails — speed ratios are reported, not gated (machine-
@@ -19,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "experiments/harness.hpp"
@@ -30,14 +35,22 @@ namespace {
 
 using namespace warp;
 
+constexpr unsigned kRepetitions = 7;
+static_assert(kRepetitions % 2 == 1, "the median is the middle repetition");
+
+struct Timing {
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+};
+
 struct KernelResult {
   std::string name;
   std::size_t luts = 0;
   std::size_t nets = 0;
-  double place_legacy_ms = 0.0;
-  double place_incremental_ms = 0.0;
-  double route_legacy_ms = 0.0;
-  double route_selective_ms = 0.0;
+  Timing place_legacy;
+  Timing place_incremental;
+  Timing route_legacy;
+  Timing route_selective;
   double place_speedup = 0.0;
   double route_speedup = 0.0;
   double total_speedup = 0.0;
@@ -54,17 +67,18 @@ struct KernelResult {
 };
 
 template <typename F>
-double time_ms(F&& run, double min_seconds = 0.25) {
+Timing time_ms(F&& run) {
   run();  // warm-up
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t reps = 0;
-  double elapsed = 0.0;
-  do {
+  std::vector<double> ms;
+  for (unsigned i = 0; i < kRepetitions; ++i) {
+    const auto start = std::chrono::steady_clock::now();
     run();
-    ++reps;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  } while (elapsed < min_seconds);
-  return elapsed * 1e3 / static_cast<double>(reps);
+    ms.push_back(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms[ms.size() / 2], ms.front()};
 }
 
 bool same_placement(const pnr::PlaceResult& a, const pnr::PlaceResult& b) {
@@ -139,21 +153,22 @@ KernelResult bench_kernel(const std::string& name) {
   out.critical_path_selective_ns = routed_selective.value().critical_path_ns;
   out.nets = routed_selective.value().routes.size();
 
-  out.place_legacy_ms =
+  out.place_legacy =
       time_ms([&] { (void)pnr::place(netlist.value(), geometry, place_legacy); });
-  out.place_incremental_ms =
+  out.place_incremental =
       time_ms([&] { (void)pnr::place(netlist.value(), geometry, place_incremental); });
-  out.route_legacy_ms = time_ms(
+  out.route_legacy = time_ms(
       [&] { (void)pnr::route(netlist.value(), geometry, placed_incremental.value(),
                              route_legacy); });
-  out.route_selective_ms = time_ms(
+  out.route_selective = time_ms(
       [&] { (void)pnr::route(netlist.value(), geometry, placed_incremental.value(),
                              route_selective); });
 
-  out.place_speedup = out.place_legacy_ms / out.place_incremental_ms;
-  out.route_speedup = out.route_legacy_ms / out.route_selective_ms;
-  out.total_speedup = (out.place_legacy_ms + out.route_legacy_ms) /
-                      (out.place_incremental_ms + out.route_selective_ms);
+  // Ratios of medians.
+  out.place_speedup = out.place_legacy.median_ms / out.place_incremental.median_ms;
+  out.route_speedup = out.route_legacy.median_ms / out.route_selective.median_ms;
+  out.total_speedup = (out.place_legacy.median_ms + out.route_legacy.median_ms) /
+                      (out.place_incremental.median_ms + out.route_selective.median_ms);
   return out;
 }
 
@@ -165,7 +180,9 @@ int main() {
   std::vector<KernelResult> results;
   for (const auto& name : kernels) results.push_back(bench_kernel(name));
 
+  const unsigned nproc = std::thread::hardware_concurrency();
   std::printf("pnr microbenchmark: exact-rescan + full rip-up vs incremental + selective\n");
+  std::printf("median wall ms per call over %u repetitions (nproc %u)\n", kRepetitions, nproc);
   std::printf("%-8s %5s %5s %10s %10s %10s %10s %7s %7s %7s %s\n", "kernel", "luts", "nets",
               "placeL ms", "placeI ms", "routeL ms", "routeS ms", "placeX", "routeX",
               "totalX", "identical(place,route)");
@@ -174,14 +191,15 @@ int main() {
   double sum_legacy_ms = 0.0, sum_new_ms = 0.0;
   for (const auto& r : results) {
     std::printf("%-8s %5zu %5zu %10.3f %10.3f %10.3f %10.3f %6.2fx %6.2fx %6.2fx %s,%s\n",
-                r.name.c_str(), r.luts, r.nets, r.place_legacy_ms, r.place_incremental_ms,
-                r.route_legacy_ms, r.route_selective_ms, r.place_speedup, r.route_speedup,
+                r.name.c_str(), r.luts, r.nets, r.place_legacy.median_ms,
+                r.place_incremental.median_ms, r.route_legacy.median_ms,
+                r.route_selective.median_ms, r.place_speedup, r.route_speedup,
                 r.total_speedup, r.placement_identical ? "yes" : "NO",
                 r.routes_identical ? "yes" : "no");
     all_place_identical = all_place_identical && r.placement_identical;
     worst_total = std::min(worst_total, r.total_speedup);
-    sum_legacy_ms += r.place_legacy_ms + r.route_legacy_ms;
-    sum_new_ms += r.place_incremental_ms + r.route_selective_ms;
+    sum_legacy_ms += r.place_legacy.median_ms + r.route_legacy.median_ms;
+    sum_new_ms += r.place_incremental.median_ms + r.route_selective.median_ms;
   }
   const double aggregate_speedup = sum_legacy_ms / sum_new_ms;
   std::printf("six-kernel total: %.1f ms -> %.1f ms (%.2fx); worst single kernel %.2fx\n",
@@ -194,9 +212,10 @@ int main() {
   }
   std::fprintf(json,
                "{\n  \"bench\": \"pnr\",\n"
+               "  \"nproc\": %u,\n  \"repetitions\": %u,\n"
                "  \"total_legacy_ms\": %.4f,\n  \"total_new_ms\": %.4f,\n"
                "  \"total_speedup\": %.2f,\n  \"kernels\": [\n",
-               sum_legacy_ms, sum_new_ms, aggregate_speedup);
+               nproc, kRepetitions, sum_legacy_ms, sum_new_ms, aggregate_speedup);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(
@@ -204,14 +223,18 @@ int main() {
         "    {\"name\": \"%s\", \"luts\": %zu, \"nets\": %zu,\n"
         "     \"place_legacy_ms\": %.4f, \"place_incremental_ms\": %.4f,\n"
         "     \"route_legacy_ms\": %.4f, \"route_selective_ms\": %.4f,\n"
+        "     \"place_legacy_min_ms\": %.4f, \"place_incremental_min_ms\": %.4f,\n"
+        "     \"route_legacy_min_ms\": %.4f, \"route_selective_min_ms\": %.4f,\n"
         "     \"place_speedup\": %.2f, \"route_speedup\": %.2f, \"total_speedup\": %.2f,\n"
         "     \"placement_identical\": %s, \"routes_identical\": %s,\n"
         "     \"route_iterations\": %u, \"nets_rerouted\": %llu,\n"
         "     \"delta_evaluations\": %llu, \"bbox_rescans\": %llu,\n"
         "     \"expansions_legacy\": %llu, \"expansions_selective\": %llu,\n"
         "     \"critical_path_legacy_ns\": %.3f, \"critical_path_selective_ns\": %.3f}%s\n",
-        r.name.c_str(), r.luts, r.nets, r.place_legacy_ms, r.place_incremental_ms,
-        r.route_legacy_ms, r.route_selective_ms, r.place_speedup, r.route_speedup,
+        r.name.c_str(), r.luts, r.nets, r.place_legacy.median_ms,
+        r.place_incremental.median_ms, r.route_legacy.median_ms, r.route_selective.median_ms,
+        r.place_legacy.min_ms, r.place_incremental.min_ms, r.route_legacy.min_ms,
+        r.route_selective.min_ms, r.place_speedup, r.route_speedup,
         r.total_speedup, r.placement_identical ? "true" : "false",
         r.routes_identical ? "true" : "false", r.route_iterations,
         static_cast<unsigned long long>(r.nets_rerouted),

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <queue>
@@ -6,6 +7,7 @@
 #include "pnr/pnr.hpp"
 
 #include "common/strings.hpp"
+#include "pnr/bucket_queue.hpp"
 
 namespace warp::pnr {
 namespace {
@@ -279,6 +281,11 @@ void route_full_ripup(const Grid& grid, const FabricGeometry& geometry,
 // grid persist across congestion iterations; only sinks whose paths cross an
 // overused cell (or whose tree entry was ripped out from under them) are
 // rerouted, with A* seeded from the net's surviving tree.
+//
+// The A* open list is a BucketQueue, which pops in exactly the heap's
+// (f, cell) order, and each cell's step cost is cached in step_ (refreshed
+// whenever present_weight_, history_ or usage_ changes), so routes and
+// expansion counts match the heap-based search bit for bit.
 // ---------------------------------------------------------------------------
 class SelectiveRouter {
  public:
@@ -287,10 +294,25 @@ class SelectiveRouter {
                   std::vector<std::vector<std::vector<std::pair<int, int>>>>& paths,
                   RouteResult& result)
       : grid_(grid), geometry_(geometry), options_(options), nets_(nets), paths_(paths),
-        result_(result) {
+        result_(result), queue_(grid.size()) {
     const std::size_t cells = static_cast<std::size_t>(grid.size());
     usage_.assign(cells, 0);
     history_.assign(cells, 0.0);
+    step_.assign(cells, 0.0);
+    cell_x_.resize(cells);
+    cell_y_.resize(cells);
+    neighbours_.resize(cells);
+    const int dx[4] = {1, -1, 0, 0};
+    const int dy[4] = {0, 0, 1, -1};
+    for (std::size_t c = 0; c < cells; ++c) {
+      const int x = static_cast<int>(c) / grid.rows() - 1;
+      const int y = static_cast<int>(c) % grid.rows();
+      cell_x_[c] = x;
+      cell_y_[c] = y;
+      for (int d = 0; d < 4; ++d) {
+        neighbours_[c][d] = grid.valid(x + dx[d], y + dy[d]) ? grid.id(x + dx[d], y + dy[d]) : -1;
+      }
+    }
     overused_cell_.assign(cells, 0);
     best_cost_.assign(cells, 0.0);
     parent_.assign(cells, -2);
@@ -308,7 +330,8 @@ class SelectiveRouter {
     std::vector<std::size_t> ripped_sinks;
     for (unsigned iter = 1; iter <= options_.max_iterations; ++iter) {
       result_.iterations = iter;
-      const double present_weight = options_.present_factor * static_cast<double>(iter);
+      present_weight_ = options_.present_factor * static_cast<double>(iter);
+      for (std::size_t i = 0; i < step_.size(); ++i) refresh_step(i);
       unsigned nets_routed = 0;
 
       for (std::size_t n = 0; n < nets_.size(); ++n) {
@@ -324,7 +347,7 @@ class SelectiveRouter {
         if (ripped_sinks.empty()) continue;
         ++nets_routed;
         if (iter > 1) ++result_.nets_rerouted;
-        route_sinks(n, ripped_sinks, present_weight);
+        route_sinks(n, ripped_sinks);
       }
       result_.nets_rerouted_per_iter.push_back(nets_routed);
 
@@ -351,6 +374,16 @@ class SelectiveRouter {
   }
 
  private:
+  // Cost of stepping into cell ci, with one more net through it.
+  void refresh_step(std::size_t ci) {
+    // IO register-bank columns are dedicated buses: no congestion.
+    const bool io_column = (cell_x_[ci] < 0 || cell_x_[ci] >= static_cast<int>(geometry_.width));
+    const double over =
+        io_column ? 0.0
+                  : std::max(0, usage_[ci] + 1 - static_cast<int>(geometry_.channel_capacity));
+    step_[ci] = 1.0 + present_weight_ * over + history_[ci];
+  }
+
   // Rebuild net n's tree from the sinks whose paths avoid every overused
   // cell (cascading: a surviving path whose entry cell was ripped is ripped
   // too), release usage for the removed cells, and report the sinks that
@@ -416,6 +449,7 @@ class SelectiveRouter {
     for (const int cell : old_cells) {
       if (tree_mark_[static_cast<std::size_t>(cell)] != tree_epoch_) {
         --usage_[static_cast<std::size_t>(cell)];
+        refresh_step(static_cast<std::size_t>(cell));
       }
     }
     tree_cells_[n] = new_cells_;
@@ -424,8 +458,7 @@ class SelectiveRouter {
 
   // A*-route the given sinks of net n from its current tree, growing the
   // tree (and cell usage) with each new path.
-  void route_sinks(std::size_t n, const std::vector<std::size_t>& sink_indices,
-                   double present_weight) {
+  void route_sinks(std::size_t n, const std::vector<std::size_t>& sink_indices) {
     auto& net = nets_[n];
     // Load the tree into the stamped scratch map.
     ++tree_epoch_;
@@ -434,21 +467,15 @@ class SelectiveRouter {
       tree_hop_at_[static_cast<std::size_t>(tree_cells_[n][i])] = tree_hops_[n][i];
     }
 
-    const int dx[4] = {1, -1, 0, 0};
-    const int dy[4] = {0, 0, 1, -1};
-
     for (const std::size_t si : sink_indices) {
       const auto& sink = net.sinks[si];
       const int goal = grid_.id(sink.cell.first, sink.cell.second);
       auto heuristic = [&](int cell) {
-        const int x = cell / grid_.rows() - 1;
-        const int y = cell % grid_.rows();
-        return static_cast<double>(std::abs(x - sink.cell.first) +
-                                   std::abs(y - sink.cell.second));
+        const std::size_t ci = static_cast<std::size_t>(cell);
+        return static_cast<double>(std::abs(cell_x_[ci] - sink.cell.first) +
+                                   std::abs(cell_y_[ci] - sink.cell.second));
       };
       ++astar_epoch_;
-      using QE = std::pair<double, int>;  // (cost + heuristic, cell)
-      std::priority_queue<QE, std::vector<QE>, std::greater<>> queue;
       auto relax = [&](int cell, double cost, int par) {
         const std::size_t ci = static_cast<std::size_t>(cell);
         if (visit_epoch_[ci] == astar_epoch_ && cost + 1e-9 >= best_cost_[ci]) return false;
@@ -457,14 +484,20 @@ class SelectiveRouter {
         parent_[ci] = par;
         return true;
       };
+      // The queue rejects a repeated identical (f, cell), which a heap would
+      // pop twice. A* never pushes one: a cell is pushed again only after
+      // relax() lowered its cost by more than 1e-9, and h(cell) is fixed, so
+      // the new f is lower by more than 1e-9 as well. That is far above one
+      // ulp of f (about 1.4e-14 near f = 100); an ulp exceeds 1e-9 only
+      // for f >= 2^23, which no route cost comes near.
+      queue_.clear();
       for (const int cell : tree_cells_[n]) {
         relax(cell, 0.0, -1);
-        queue.emplace(heuristic(cell), cell);
+        queue_.push(heuristic(cell), cell);
       }
       int found = -1;
-      while (!queue.empty()) {
-        const auto [prio, cell] = queue.top();
-        queue.pop();
+      while (!queue_.empty()) {
+        const auto [prio, cell] = queue_.pop();
         const double cost = prio - heuristic(cell);
         if (cost > best_cost_[static_cast<std::size_t>(cell)] + 1e-9) continue;
         ++result_.expansions;
@@ -472,49 +505,38 @@ class SelectiveRouter {
           found = cell;
           break;
         }
-        const int x = cell / grid_.rows() - 1;
-        const int y = cell % grid_.rows();
-        for (int d = 0; d < 4; ++d) {
-          const int nx = x + dx[d];
-          const int ny = y + dy[d];
-          if (!grid_.valid(nx, ny)) continue;
-          const int next = grid_.id(nx, ny);
-          const std::size_t ni = static_cast<std::size_t>(next);
-          // IO register-bank columns are dedicated buses: no congestion.
-          const bool io_column = (nx < 0 || nx >= static_cast<int>(geometry_.width));
-          const double over =
-              io_column ? 0.0
-                        : std::max(0, usage_[ni] + 1 -
-                                          static_cast<int>(geometry_.channel_capacity));
-          const double step = 1.0 + present_weight * over + history_[ni];
+        for (const int next : neighbours_[static_cast<std::size_t>(cell)]) {
+          if (next < 0) continue;
+          const double step = step_[static_cast<std::size_t>(next)];
           if (relax(next, cost + step, cell)) {
-            queue.emplace(cost + step + heuristic(next), next);
+            queue_.push(cost + step + heuristic(next), next);
           }
         }
       }
       auto& path = paths_[n][si];
       path.clear();
       if (found < 0) continue;  // unreachable; path stays empty
-      std::vector<int> cells;
+      trace_.clear();
       int cur = found;
       while (parent_[static_cast<std::size_t>(cur)] != -1) {
-        cells.push_back(cur);
+        trace_.push_back(cur);
         cur = parent_[static_cast<std::size_t>(cur)];
       }
-      cells.push_back(cur);  // tree entry
-      std::reverse(cells.begin(), cells.end());
-      const unsigned entry_hops = tree_hop_at_[static_cast<std::size_t>(cells.front())];
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        const int cell = cells[i];
-        if (tree_mark_[static_cast<std::size_t>(cell)] != tree_epoch_) {
-          tree_mark_[static_cast<std::size_t>(cell)] = tree_epoch_;
-          tree_hop_at_[static_cast<std::size_t>(cell)] =
-              entry_hops + static_cast<unsigned>(i);
+      trace_.push_back(cur);  // tree entry
+      std::reverse(trace_.begin(), trace_.end());
+      const unsigned entry_hops = tree_hop_at_[static_cast<std::size_t>(trace_.front())];
+      for (std::size_t i = 0; i < trace_.size(); ++i) {
+        const int cell = trace_[i];
+        const std::size_t ci = static_cast<std::size_t>(cell);
+        if (tree_mark_[ci] != tree_epoch_) {
+          tree_mark_[ci] = tree_epoch_;
+          tree_hop_at_[ci] = entry_hops + static_cast<unsigned>(i);
           tree_cells_[n].push_back(cell);
           tree_hops_[n].push_back(entry_hops + static_cast<unsigned>(i));
-          ++usage_[static_cast<std::size_t>(cell)];
+          ++usage_[ci];
+          refresh_step(ci);
         }
-        path.emplace_back(cell / grid_.rows() - 1, cell % grid_.rows());
+        path.emplace_back(cell_x_[ci], cell_y_[ci]);
       }
     }
   }
@@ -526,10 +548,17 @@ class SelectiveRouter {
   std::vector<std::vector<std::vector<std::pair<int, int>>>>& paths_;
   RouteResult& result_;
 
-  // Persistent congestion state.
+  // Persistent congestion state; step_[c] caches the cost of entering c.
   std::vector<int> usage_;
   std::vector<double> history_;
   std::vector<char> overused_cell_;
+  double present_weight_ = 0.0;
+  std::vector<double> step_;
+  // Grid geometry tables: coordinates and the +x, -x, +y, -y neighbours
+  // (-1 off the grid) of every cell.
+  std::vector<int> cell_x_;
+  std::vector<int> cell_y_;
+  std::vector<std::array<int, 4>> neighbours_;
   // Persistent per-net routed trees (parallel cell/hop arrays).
   std::vector<std::vector<int>> tree_cells_;
   std::vector<std::vector<unsigned>> tree_hops_;
@@ -543,6 +572,8 @@ class SelectiveRouter {
   int tree_epoch_ = 0;
   std::vector<int> new_cells_;
   std::vector<unsigned> new_hops_;
+  BucketQueue queue_;
+  std::vector<int> trace_;  // trace-back buffer, reused across sinks
 };
 
 }  // namespace

@@ -1,16 +1,26 @@
 // Incremental place & route tests: placement determinism, incremental-vs-
-// exact-rescan HPWL equivalence, and selective rip-up routing regressions.
+// exact-rescan HPWL equivalence, selective rip-up routing regressions, the
+// A* bucket queue against the heap it replaced, and pinned router outputs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <map>
+#include <queue>
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
+#include "experiments/harness.hpp"
 #include "fabric/wcla.hpp"
 #include "netlist_testutil.hpp"
+#include "pnr/bucket_queue.hpp"
 #include "pnr/pnr.hpp"
 #include "synth/netlist.hpp"
 #include "techmap/techmap.hpp"
+#include "workloads/workload.hpp"
 
 namespace warp {
 namespace {
@@ -136,17 +146,27 @@ std::map<std::pair<int, int>, int> cell_usage(const pnr::PnrResult& result) {
 // Regression: on a congested grid the selective rip-up router must still
 // converge to a legal (no overuse) solution, and must actually exercise the
 // rip-up path rather than rerouting everything.
-TEST(Route, SelectiveRipupConvergesOnCongestedGrid) {
-  common::Rng rng(17);
-  auto net = random_netlist(rng, 10, 80, 6);
-  auto mapped = techmap::techmap(net);
-  ASSERT_TRUE(mapped.is_ok());
-  fabric::FabricGeometry geometry = fabric::FabricGeometry::small();
-  geometry.channel_capacity = 3;  // tight: forces congestion iterations
-
+// A random netlist on a small fabric with a tight channel capacity, which
+// forces congestion iterations.
+struct CongestedCase {
+  techmap::LutNetlist netlist;
+  fabric::FabricGeometry geometry;
   pnr::PnrOptions options;
-  options.route.max_iterations = 32;
-  auto result = pnr::place_and_route(mapped.value(), geometry, options);
+};
+
+CongestedCase congested_case() {
+  common::Rng rng(17);
+  auto mapped = techmap::techmap(random_netlist(rng, 10, 80, 6));
+  CongestedCase out{std::move(mapped).value(), fabric::FabricGeometry::small(), {}};
+  out.geometry.channel_capacity = 3;
+  out.options.route.max_iterations = 32;
+  return out;
+}
+
+TEST(Route, SelectiveRipupConvergesOnCongestedGrid) {
+  const CongestedCase congested = congested_case();
+  const auto& geometry = congested.geometry;
+  auto result = pnr::place_and_route(congested.netlist, geometry, congested.options);
   ASSERT_TRUE(result.is_ok()) << result.message();
   const auto& route = result.value().route;
   EXPECT_TRUE(route.success);
@@ -207,6 +227,184 @@ TEST(Route, SelectiveMatchesFullRipupWhenUncongested) {
       EXPECT_EQ(ra.sinks[s].path, rb.sinks[s].path);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// BucketQueue: the selective router's A* open list must pop in exactly the
+// order of the heap it replaced, or routes and expansion counts would drift.
+// ---------------------------------------------------------------------------
+using HeapEntry = std::pair<double, int>;
+using Heap = std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
+
+bool has_f(const std::set<HeapEntry>& live, double f) {
+  const auto it = live.lower_bound({f, std::numeric_limits<int>::min()});
+  return it != live.end() && it->first == f;
+}
+
+// Seeded random push/pop/clear sequences against std::priority_queue. The
+// f values cluster on a few bases and their one-ulp neighbours (exact ties
+// across many cells, and near-ties), some pushes go below the current
+// minimum, cells recur under different f (the router's stale entries), and
+// clear() runs with buckets still live. Grid sizes cover two leaf words
+// (70), the default fabric (66 x 40 = 2640) and more than one summary word
+// (5000); each ends in a partial leaf word.
+TEST(BucketQueue, PopsInHeapOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::uint64_t below_min = 0, stale = 0, live_clears = 0, ulp_pairs = 0, pops = 0;
+  for (const int cells : {70, 2640, 5000}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      common::Rng rng(seed * 1000 + static_cast<std::uint64_t>(cells));
+      std::vector<double> fs;
+      for (int i = 0; i < 5; ++i) {
+        const double base = 8.0 + 0.25 * rng.below(40);
+        fs.push_back(base);
+        fs.push_back(std::nextafter(base, inf));
+        fs.push_back(std::nextafter(base, -inf));
+      }
+      // Odd seeds draw from the grid's last dozen cells: many stale-entry
+      // pairs, partly in the partial last leaf word.
+      const int first_cell = (seed % 2) ? cells - 12 : 0;
+
+      pnr::BucketQueue queue(cells);
+      Heap heap;
+      std::set<HeapEntry> live;             // the queue rejects identical pairs
+      std::map<int, int> live_per_cell;
+      for (int op = 0; op < 3000; ++op) {
+        const unsigned r = rng.below(100);
+        if (r < 55 || heap.empty()) {
+          double f = fs[rng.below(static_cast<std::uint32_t>(fs.size()))];
+          if (r < 6 && !heap.empty()) {
+            f = (r % 2) ? std::nextafter(heap.top().first, -inf) : heap.top().first - 1.5;
+            ++below_min;
+          }
+          const auto span = static_cast<std::uint32_t>(cells - first_cell);
+          const int cell = (r == 7) ? cells - 1 : first_cell + static_cast<int>(rng.below(span));
+          if (!live.insert({f, cell}).second) continue;
+          if (live_per_cell[cell]++ > 0) ++stale;
+          if (has_f(live, std::nextafter(f, inf)) || has_f(live, std::nextafter(f, -inf))) {
+            ++ulp_pairs;
+          }
+          queue.push(f, cell);
+          heap.push({f, cell});
+        } else if (r < 98) {
+          ASSERT_FALSE(queue.empty());
+          const HeapEntry got = queue.pop();
+          ASSERT_EQ(got, heap.top()) << "cells " << cells << " seed " << seed << " op " << op;
+          heap.pop();
+          live.erase(got);
+          --live_per_cell[got.second];
+          ++pops;
+        } else {
+          if (!heap.empty()) ++live_clears;
+          queue.clear();
+          heap = Heap();
+          live.clear();
+          live_per_cell.clear();
+        }
+        ASSERT_EQ(queue.empty(), heap.empty());
+      }
+      while (!heap.empty()) {
+        ASSERT_EQ(queue.pop(), heap.top());
+        heap.pop();
+      }
+      EXPECT_TRUE(queue.empty());
+    }
+  }
+  // The sequences really hit every case named above.
+  EXPECT_GT(below_min, 100u);
+  EXPECT_GT(stale, 100u);
+  EXPECT_GT(live_clears, 20u);
+  EXPECT_GT(ulp_pairs, 10u);
+  EXPECT_GT(pops, 10000u);
+}
+
+// A heap pops a repeated identical (f, cell) twice; a bitset would merge
+// it. The queue rejects the repeat instead, and stays intact.
+TEST(BucketQueue, RejectsIdenticalPush) {
+  pnr::BucketQueue queue(2640);
+  queue.push(3.0, 7);
+  queue.push(3.0, 9);
+  queue.push(2.0, 7);  // same cell, different f: a legal stale entry
+  EXPECT_THROW(queue.push(3.0, 7), common::InternalError);
+  EXPECT_EQ(queue.pop(), HeapEntry(2.0, 7));
+  EXPECT_EQ(queue.pop(), HeapEntry(3.0, 7));
+  // Once popped, the pair may be pushed again.
+  queue.push(3.0, 7);
+  EXPECT_EQ(queue.pop(), HeapEntry(3.0, 7));
+  EXPECT_EQ(queue.pop(), HeapEntry(3.0, 9));
+  EXPECT_TRUE(queue.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned selective-router outputs. The DPM time model charges every A*
+// expansion, so any change to the router's search order moves dpm_seconds
+// and the paper figures; these values come from the heap-based router and
+// must only change on purpose.
+// ---------------------------------------------------------------------------
+struct RouteSignature {
+  std::uint64_t expansions = 0;
+  unsigned iterations = 0;
+  std::uint64_t nets_rerouted = 0;
+  unsigned max_hops = 0;
+  double critical_path_ns = 0.0;
+  std::string path_digest;
+};
+
+RouteSignature signature(const pnr::RouteResult& route) {
+  common::Hasher h;
+  for (const auto& routed : route.routes) {
+    h.u64(routed.sinks.size());
+    for (const auto& sink : routed.sinks) {
+      h.u64(sink.path.size());
+      for (const auto& [x, y] : sink.path) h.i32(x).i32(y);
+    }
+  }
+  return {route.expansions, route.iterations, route.nets_rerouted, route.max_hops,
+          route.critical_path_ns, h.finish().to_string()};
+}
+
+void expect_signature(const std::string& name, const pnr::RouteResult& route,
+                      const RouteSignature& pinned) {
+  const RouteSignature got = signature(route);
+  // On a mismatch, print the observed row ready to paste.
+  SCOPED_TRACE(common::format("{\"%s\", {%lluu, %uu, %lluu, %uu, %.17g, \"%s\"}}", name.c_str(),
+                              static_cast<unsigned long long>(got.expansions), got.iterations,
+                              static_cast<unsigned long long>(got.nets_rerouted), got.max_hops,
+                              got.critical_path_ns, got.path_digest.c_str()));
+  EXPECT_EQ(got.expansions, pinned.expansions);
+  EXPECT_EQ(got.iterations, pinned.iterations);
+  EXPECT_EQ(got.nets_rerouted, pinned.nets_rerouted);
+  EXPECT_EQ(got.max_hops, pinned.max_hops);
+  EXPECT_EQ(got.critical_path_ns, pinned.critical_path_ns);
+  EXPECT_EQ(got.path_digest, pinned.path_digest);
+}
+
+TEST(Route, PinnedCountersOnPaperKernels) {
+  const std::vector<std::pair<std::string, RouteSignature>> pinned = {
+      {"brev", {44032u, 1u, 0u, 103u, 37.25, "842f5064a8058ccf:1b910c1e07dc0a58"}},
+      {"g3fax", {7656u, 1u, 0u, 92u, 33.399999999999999, "dade285a047937df:dbf4b1b22c9c88b2"}},
+      {"canrdr", {26141u, 1u, 0u, 77u, 73.300000000000011, "14f292f819eaea5a:3c18196b50b84dfb"}},
+      {"bitmnp", {10388u, 1u, 0u, 74u, 31.849999999999998, "749fbe5b897b7c85:9aa18474428bf191"}},
+      {"idct", {757441u, 3u, 2420u, 107u, 207.94999999999999, "a106bc5f42b94666:a6b192af7a65778b"}},
+      {"matmul", {45096u, 1u, 0u, 85u, 30.949999999999999, "4f26e206fdf2729f:79be64e51129ff94"}},
+  };
+  const auto options = experiments::default_options();
+  const fabric::FabricGeometry geometry;  // the DPM's default fabric
+  for (const auto& [name, expected] : pinned) {
+    auto netlist = experiments::partition_netlist(workloads::workload_by_name(name), options);
+    ASSERT_TRUE(netlist.is_ok()) << name << ": " << netlist.message();
+    auto result = pnr::place_and_route(netlist.value(), geometry);
+    ASSERT_TRUE(result.is_ok()) << name << ": " << result.message();
+    expect_signature(name, result.value().route, expected);
+  }
+}
+
+TEST(Route, PinnedCountersOnCongestedGrid) {
+  const CongestedCase congested = congested_case();
+  auto result = pnr::place_and_route(congested.netlist, congested.geometry, congested.options);
+  ASSERT_TRUE(result.is_ok()) << result.message();
+  expect_signature("congested", result.value().route,
+                   {2094u, 9u, 86u, 22u, 12.35, "050c9a956ca769f5:861814f448e45639"});
 }
 
 }  // namespace
