@@ -21,10 +21,11 @@
 // serve.accept/read/write socket sites) requiring bit-identical tables
 // under every schedule. Writes no JSON.
 //
-// --serve PATH: CLI daemon mode — serve on PATH until stdin closes.
+// --serve PATH: CLI daemon mode — the warpd daemon main shared with
+// `warpd_load --daemon` (bench/warpd_harness.hpp) at 4 shards, serving on
+// PATH until SIGTERM or a "drain" op drains it, then exiting 0.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,12 +44,13 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
+#include "warpd_harness.hpp"
 #include "workloads/workload.hpp"
 
 namespace {
 
 using namespace warp;
-using serve::protocol::Request;
+using namespace warp::bench;
 
 // The session stream: cycled extended mix with periodic config overrides.
 // packed_width is host-only (excluded from the kernel content hash), so the
@@ -90,14 +92,6 @@ std::vector<Request> make_unique_requests(std::size_t n) {
     requests.push_back(request);
   }
   return requests;
-}
-
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
 struct RunResult {
@@ -330,42 +324,6 @@ int run_check(std::size_t sessions, const std::string& store_base,
   return ok ? 0 : 1;
 }
 
-// --- --serve: CLI daemon mode ---------------------------------------------
-
-int run_daemon(const std::string& path, const std::string& store_base) {
-  partition::DiskArtifactStore* store = nullptr;
-  partition::DiskArtifactStore store_storage({.directory = store_base});
-  partition::ArtifactCache cache;
-  if (!store_base.empty()) {
-    store = &store_storage;
-    cache.attach_store(store);
-  }
-  serve::WarpdOptions engine;
-  engine.shards = 4;
-  engine.base = experiments::default_options();
-  engine.cache = &cache;
-  serve::SocketServerOptions options;
-  options.path = path;
-  options.engine = engine;
-  serve::SocketServer server(options);
-  if (const auto status = server.start(); !status) {
-    std::fprintf(stderr, "warpd: %s\n", status.message().c_str());
-    return 1;
-  }
-  std::printf("warpd: serving on %s (4 shards%s); EOF on stdin stops\n", path.c_str(),
-              store_base.empty() ? "" : ", persistent store attached");
-  int c;
-  while ((c = std::getchar()) != EOF) {
-  }
-  server.stop();
-  const auto stats = server.engine().stats();
-  std::printf("warpd: served %llu sessions (%llu rejected), %llu unique kernels\n",
-              static_cast<unsigned long long>(stats.completed),
-              static_cast<unsigned long long>(stats.rejected),
-              static_cast<unsigned long long>(stats.unique_kernels));
-  return 0;
-}
-
 void emit_json(const std::vector<RunResult>& runs, std::size_t sessions,
                std::size_t store_sessions, bool warm_beats_cold) {
   FILE* json = std::fopen("BENCH_warpd.json", "w");
@@ -423,29 +381,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
-    } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      ++i;
-      const unsigned long value = std::strtoul(argv[i], &end, 10);
-      if (argv[i][0] == '-' || end == argv[i] || *end != '\0' || value == 0) {
-        std::fprintf(stderr, "--sessions expects a positive integer, got '%s'\n", argv[i]);
+    } else if (std::strcmp(argv[i], "--sessions") == 0) {
+      sessions = uint_flag(argc, argv, i);
+      if (sessions == 0) {
+        std::fprintf(stderr, "--sessions expects a positive integer\n");
         return 1;
       }
-      sessions = static_cast<std::size_t>(value);
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
       store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
       serve_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      ++i;
-      const unsigned long long value = std::strtoull(argv[i], &end, 10);
-      if (argv[i][0] == '-' || end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--fault-seed expects a non-negative integer, got '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-      fault_seed = static_cast<std::uint64_t>(value);
+    } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
+      fault_seed = uint_flag(argc, argv, i);
       have_fault_seed = true;
     } else {
       std::fprintf(stderr,
@@ -455,7 +402,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (!serve_path.empty()) return run_daemon(serve_path, store_dir);
+  if (!serve_path.empty()) {
+    std::printf("warpd --serve %s (4 shards%s): SIGTERM or a drain op stops it\n",
+                serve_path.c_str(), store_dir.empty() ? "" : ", persistent store attached");
+    std::fflush(stdout);
+    return run_daemon(
+        DaemonArgs{.socket = serve_path, .store_dir = store_dir, .shards = 4, .workers = 0});
+  }
   if (check) return run_check(std::min<std::size_t>(sessions, 64), store_dir, fault_seed,
                               have_fault_seed);
 

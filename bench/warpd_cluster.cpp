@@ -30,11 +30,12 @@
 //              envelopes from peers (pull-on-miss), after which a final
 //              repair round converges the cluster again.
 //
-// Verification is reply-table-only, as in warpd_load: pure result fields
-// are checked bit for bit against run_serial references, and ok replies
-// are grouped by their node= field so each node incarnation's wait chain
-// replays through a DpmVirtualClock (exact for clean runs, a lower bound
-// once forwarded replies can be lost to chaos).
+// Verification is reply-table-only, with warpd_load's checkers
+// (bench/warpd_harness.hpp): pure result fields are checked bit for bit
+// against run_serial references, and ok replies are grouped by their node=
+// field so each node incarnation's wait chain replays through a
+// DpmVirtualClock (exact for clean runs, a lower bound once forwarded
+// replies can be lost to chaos).
 //
 // Emits BENCH_warpd_cluster.json (schema in docs/benchmarks.md). --check
 // runs the same gates and writes no JSON — the CI cluster-soak job wraps
@@ -58,7 +59,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/fault_injector.hpp"
@@ -71,54 +71,40 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
-#include "warp/warp_system.hpp"
+#include "warpd_harness.hpp"
 
 namespace {
 
 using namespace warp;
+using namespace warp::bench;
 using Clock = std::chrono::steady_clock;
-using serve::protocol::Request;
 
 // --- hidden --node mode ------------------------------------------------------
 
-volatile std::sig_atomic_t g_sigterm = 0;
-void on_sigterm(int) { g_sigterm = 1; }
-
-struct NodeArgs {
-  unsigned id = 0;
-  std::string members;  // comma-joined endpoint specs, indexed by node id
-  std::string store_dir;
-  std::optional<std::uint64_t> fault_seed;  // transient_sweep profile
-  std::uint64_t hb_ms = 100;
-};
-
-// The child process: one ClusterNode supervised by a 50ms poll loop, same
-// contract as warpd_load's daemon — SIGTERM or a remote "drain" op ends the
-// loop, drain finishes in-flight sessions, exit 0 is the graceful-shutdown
-// contract the driver asserts.
-int run_node(const NodeArgs& args) {
-  std::signal(SIGTERM, on_sigterm);
+// The child process: one ClusterNode under the warpd daemon stop contract
+// (supervise): SIGTERM or a remote "drain" op drains it, exit 0.
+int run_node(const DaemonArgs& args) {
+  trap_sigterm();
   std::vector<std::string> members;
   for (const auto spec : common::split(args.members, ",")) members.emplace_back(spec);
   std::optional<common::FaultInjector> fault;
-  if (args.fault_seed) {
-    fault.emplace(common::FaultConfig::transient_sweep(*args.fault_seed));
-  }
-  partition::DiskArtifactStore store(partition::DiskStoreOptions{
-      .directory = args.store_dir, .fault = fault ? &*fault : nullptr});
+  if (args.fault_seed) fault.emplace(common::FaultConfig::transient_sweep(*args.fault_seed));
+  common::FaultInjector* injector = fault ? &*fault : nullptr;
+  partition::DiskArtifactStore store(
+      partition::DiskStoreOptions{.directory = args.store_dir, .fault = injector});
   partition::ArtifactCache cache;
   serve::ClusterOptions options;
   options.node_id = args.id;
   options.members = members;
-  options.server.engine.shards = 2;
-  options.server.engine.workers = 2;
+  options.server.engine.shards = args.shards;
+  options.server.engine.workers = args.workers;
   options.server.engine.base = experiments::default_options();
-  options.server.engine.fault = fault ? &*fault : nullptr;
-  options.server.fault = fault ? &*fault : nullptr;
+  options.server.engine.fault = injector;
+  options.server.fault = injector;
   options.server.backoff_seed = 0x9E3779B97F4A7C15ull ^ args.id;
   options.cache = &cache;
   options.store = &store;
-  options.fault = fault ? &*fault : nullptr;
+  options.fault = injector;
   options.heartbeat_ms = args.hb_ms;
   serve::ClusterNode node(std::move(options));
   if (const auto status = node.start(); !status) {
@@ -126,10 +112,7 @@ int run_node(const NodeArgs& args) {
                  status.message().c_str());
     return 1;
   }
-  while (!g_sigterm && !node.server().drain_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  node.drain();
+  supervise(node.server());
   node.stop();
   return 0;
 }
@@ -137,13 +120,9 @@ int run_node(const NodeArgs& args) {
 // --- node supervision from the driver ---------------------------------------
 
 struct NodeProc {
-  unsigned id = 0;
-  std::string spec;       // tcp:127.0.0.1:<port>
-  std::string store_dir;
-  std::optional<std::uint64_t> fault_seed;
-  std::uint64_t hb_ms = 100;
+  std::string spec;  // tcp:127.0.0.1:<port>
+  DaemonArgs args;   // id, members, store, fault seed, heartbeat period
   pid_t pid = -1;
-  unsigned incarnation = 0;
 };
 
 // Reserve a free loopback port by binding port 0 and reading it back. The
@@ -172,70 +151,8 @@ std::uint16_t pick_free_port() {
   return ntohs(addr.sin_port);
 }
 
-void spawn_node(NodeProc& node, const std::string& members) {
-  std::vector<std::string> argv_store = {"/proc/self/exe",
-                                         "--node",
-                                         "--id",
-                                         std::to_string(node.id),
-                                         "--members",
-                                         members,
-                                         "--store",
-                                         node.store_dir,
-                                         "--hb-ms",
-                                         std::to_string(node.hb_ms)};
-  if (node.fault_seed) {
-    argv_store.push_back("--fault-seed");
-    argv_store.push_back(std::to_string(*node.fault_seed));
-  }
-  std::vector<char*> argv;
-  for (auto& arg : argv_store) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "fork failed: %s\n", std::strerror(errno));
-    std::exit(1);
-  }
-  if (pid == 0) {
-    ::execv("/proc/self/exe", argv.data());
-    std::fprintf(stderr, "execv failed: %s\n", std::strerror(errno));
-    ::_exit(127);
-  }
-  for (int attempt = 0; attempt < 400; ++attempt) {
-    int status = 0;
-    if (::waitpid(pid, &status, WNOHANG) == pid) {
-      std::fprintf(stderr, "node %u died during startup (status %d)\n", node.id, status);
-      std::exit(1);
-    }
-    serve::Client probe;
-    if (probe.connect(node.spec)) {
-      node.pid = pid;
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  std::fprintf(stderr, "node %u never became reachable on %s\n", node.id,
-               node.spec.c_str());
-  ::kill(pid, SIGKILL);
-  std::exit(1);
-}
-
-struct ExitInfo {
-  bool exited = false;
-  int exit_code = -1;
-  bool signaled = false;
-  int signal = 0;
-};
-
-ExitInfo reap(pid_t pid) {
-  int status = 0;
-  ExitInfo info;
-  if (::waitpid(pid, &status, 0) != pid) return info;
-  info.exited = WIFEXITED(status);
-  if (info.exited) info.exit_code = WEXITSTATUS(status);
-  info.signaled = WIFSIGNALED(status);
-  if (info.signaled) info.signal = WTERMSIG(status);
-  return info;
+void spawn_node(NodeProc& node) {
+  node.pid = spawn_self(daemon_argv("--node", node.args), node.spec);
 }
 
 // --- request set and serial references --------------------------------------
@@ -261,47 +178,6 @@ Request make_key_request(std::size_t key_index) {
     request.overrides.max_candidates = 2;
   }
   return request;
-}
-
-std::string key_of(const Request& request) {
-  const auto& o = request.overrides;
-  return common::format("%s|%d|%d|%d", request.workload.c_str(),
-                        o.packed_width ? static_cast<int>(*o.packed_width) : -1,
-                        o.max_candidates ? static_cast<int>(*o.max_candidates) : -1,
-                        o.csd_max_terms ? static_cast<int>(*o.csd_max_terms) : -1);
-}
-
-bool pure_fields_match(const warpsys::MultiWarpEntry& a, const warpsys::MultiWarpEntry& b) {
-  return a.name == b.name && a.detail == b.detail && a.sw_seconds == b.sw_seconds &&
-         a.warped_seconds == b.warped_seconds && a.speedup == b.speedup &&
-         a.dpm_seconds == b.dpm_seconds && a.warped == b.warped;
-}
-
-std::map<std::string, warpsys::MultiWarpEntry> make_references(
-    const std::vector<Request>& requests) {
-  std::map<std::string, warpsys::MultiWarpEntry> references;
-  std::vector<Request> distinct;
-  for (const auto& request : requests) {
-    if (references.emplace(key_of(request), warpsys::MultiWarpEntry{}).second) {
-      Request bare = request;
-      bare.id = distinct.size();
-      bare.seq.reset();
-      bare.deadline_ms.reset();
-      distinct.push_back(bare);
-    }
-  }
-  serve::WarpdOptions options;
-  options.base = experiments::default_options();
-  const auto outcomes = serve::run_serial(distinct, options);
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    if (!outcomes[i].error.empty()) {
-      std::fprintf(stderr, "serial reference rejected %s: %s\n",
-                   distinct[i].workload.c_str(), outcomes[i].error.c_str());
-      std::exit(1);
-    }
-    references[key_of(distinct[i])] = outcomes[i].entry;
-  }
-  return references;
 }
 
 // The ring owner per key on the full healthy membership {0,1,2} — the same
@@ -331,7 +207,7 @@ std::vector<unsigned> owners_of_keys(unsigned nodes) {
 
 // (wait_s, dpm_s) ok replies grouped per (node id, incarnation): one chain
 // per virtual-clock lifetime.
-using ChainMap = std::map<std::pair<unsigned, unsigned>, std::vector<std::pair<double, double>>>;
+using ChainMap = std::map<std::pair<unsigned, unsigned>, WaitChain>;
 
 struct KillPlan {
   pid_t pid = -1;
@@ -344,67 +220,48 @@ struct KillPlan {
 // faults here — no caps are set) honor their retry_after_ms hint plus a
 // seeded jitter so retries never storm in lockstep. Returns false on any
 // deviation from the serial reference or any failed session.
-bool run_phase(const char* label, const std::string& spec,
-               const std::vector<Request>& requests,
-               const std::map<std::string, warpsys::MultiWarpEntry>& references,
-               const std::vector<unsigned>& incarnations, ChainMap& chains,
-               common::Rng& rng, std::uint64_t& ok_count, std::uint64_t& busy_retries,
-               KillPlan* kill_plan = nullptr) {
-  constexpr int kMaxBusyRetries = 200;
-  constexpr std::uint64_t kMaxRetrySleepMs = 250;
+bool run_phase(const char* label, const std::string& spec, const std::vector<Request>& requests,
+               const References& references, const std::vector<unsigned>& incarnations,
+               ChainMap& chains, common::Rng& rng, std::uint64_t& ok_count,
+               std::uint64_t& busy_retries, KillPlan* kill_plan = nullptr) {
+  Gate gate{label};
   serve::Client client;
   if (const auto status = client.connect(spec); !status) {
-    std::printf("  FAIL %s: connect %s: %s\n", label, spec.c_str(),
-                status.message().c_str());
-    return false;
+    return gate(false, "connect %s: %s", spec.c_str(), status.message().c_str());
   }
   std::map<std::uint64_t, const Request*> open;
   for (const auto& request : requests) {
     if (const auto status = client.send_line(serve::protocol::encode_request(request));
         !status) {
-      std::printf("  FAIL %s: send: %s\n", label, status.message().c_str());
-      return false;
+      return gate(false, "send: %s", status.message().c_str());
     }
     open.emplace(request.id, &request);
   }
   std::map<std::uint64_t, int> busy_seen;
-  bool ok_all = true;
   while (!open.empty()) {
     auto line = client.read_line_for(120'000);
     if (!line) {
-      std::printf("  FAIL %s: reply stream died with %zu sessions open: %s\n", label,
-                  open.size(), line.message().c_str());
-      return false;
+      return gate(false, "reply stream died with %zu sessions open: %s", open.size(),
+                  line.message().c_str());
     }
     auto parsed = serve::protocol::parse_reply(line.value());
     if (!parsed) {
-      std::printf("  FAIL %s: unparseable reply '%s': %s\n", label, line.value().c_str(),
+      return gate(false, "unparseable reply '%s': %s", line.value().c_str(),
                   parsed.message().c_str());
-      return false;
     }
     const auto& reply = parsed.value();
+    const auto id = static_cast<unsigned long long>(reply.id);
     const auto it = open.find(reply.id);
-    if (it == open.end()) {
-      std::printf("  FAIL %s: reply for unknown id %llu\n", label,
-                  static_cast<unsigned long long>(reply.id));
-      ok_all = false;
-      continue;
-    }
+    if (!gate(it != open.end(), "reply for unknown id %llu", id)) continue;
     switch (reply.status) {
       case serve::protocol::ReplyStatus::kOk: {
-        const auto& reference = references.at(key_of(*it->second));
-        if (!pure_fields_match(serve::protocol::entry_of(reply), reference)) {
-          std::printf("  FAIL %s: id=%llu (node %u) deviates from the serial reference\n",
-                      label, static_cast<unsigned long long>(reply.id), reply.node);
-          ok_all = false;
-        }
-        if (reply.node < incarnations.size()) {
+        gate(pure_fields_match(serve::protocol::entry_of(reply),
+                               references.at(key_of(*it->second))),
+             "id=%llu (node %u) deviates from the serial reference", id, reply.node);
+        if (gate(reply.node < incarnations.size(), "id=%llu carries unknown node=%u", id,
+                 reply.node)) {
           chains[{reply.node, incarnations[reply.node]}].emplace_back(
               reply.dpm_wait_seconds, reply.dpm_seconds);
-        } else {
-          std::printf("  FAIL %s: id=%llu carries unknown node=%u\n", label,
-                      static_cast<unsigned long long>(reply.id), reply.node);
-          ok_all = false;
         }
         open.erase(it);
         ++ok_count;
@@ -417,10 +274,8 @@ bool run_phase(const char* label, const std::string& spec,
       }
       case serve::protocol::ReplyStatus::kBusy: {
         ++busy_retries;
-        if (++busy_seen[reply.id] > kMaxBusyRetries) {
-          std::printf("  FAIL %s: id=%llu gave up after %d busy retries\n", label,
-                      static_cast<unsigned long long>(reply.id), kMaxBusyRetries);
-          ok_all = false;
+        if (!gate(++busy_seen[reply.id] <= kMaxBusyRetries,
+                  "id=%llu gave up after %d busy retries", id, kMaxBusyRetries)) {
           open.erase(it);
           break;
         }
@@ -430,52 +285,18 @@ bool run_phase(const char* label, const std::string& spec,
         if (const auto status =
                 client.send_line(serve::protocol::encode_request(*it->second));
             !status) {
-          std::printf("  FAIL %s: busy resend: %s\n", label, status.message().c_str());
-          return false;
+          return gate(false, "busy resend: %s", status.message().c_str());
         }
         break;
       }
       case serve::protocol::ReplyStatus::kTimeout:
       case serve::protocol::ReplyStatus::kErr:
-        std::printf("  FAIL %s: id=%llu failed: %s\n", label,
-                    static_cast<unsigned long long>(reply.id), reply.detail.c_str());
-        ok_all = false;
+        gate(false, "id=%llu failed: %s", id, reply.detail.c_str());
         open.erase(it);
         break;
     }
   }
-  return ok_all;
-}
-
-// Same wait-chain replay as warpd_load: exact when every ok reply of the
-// node incarnation was observed, a lower bound once chaos can eat forwarded
-// replies (a locally-recomputed session's remote twin still charged the
-// remote clock).
-bool verify_wait_chain(std::vector<std::pair<double, double>> chain, bool exact,
-                       const std::string& label) {
-  std::sort(chain.begin(), chain.end());
-  warpsys::DpmVirtualClock clock;
-  double lower = 0.0;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const auto [wait, dpm] = chain[i];
-    if (exact) {
-      const double expect = clock.start(0.0);
-      if (wait != expect) {
-        std::printf("  FAIL %s: wait chain diverges at reply %zu: wait=%.17g expected=%.17g\n",
-                    label.c_str(), i, wait, expect);
-        return false;
-      }
-      clock.finish(dpm);
-    } else {
-      if (wait + 1e-9 < lower) {
-        std::printf("  FAIL %s: wait chain below lower bound at reply %zu: %.17g < %.17g\n",
-                    label.c_str(), i, wait, lower);
-        return false;
-      }
-      lower = wait + dpm;
-    }
-  }
-  return true;
+  return gate.ok;
 }
 
 bool verify_chains(const ChainMap& chains, bool exact, const char* run_label) {
@@ -490,52 +311,6 @@ bool verify_chains(const ChainMap& chains, bool exact, const char* run_label) {
 
 // --- control-plane helpers ---------------------------------------------------
 
-struct StatsLine {
-  std::map<std::string, std::uint64_t> values;
-  std::uint64_t get(const char* key) const {
-    const auto it = values.find(key);
-    return it == values.end() ? 0 : it->second;
-  }
-  std::uint64_t sum_prefix(const char* prefix) const {
-    std::uint64_t total = 0;
-    for (const auto& [key, value] : values) {
-      if (common::starts_with(key, prefix)) total += value;
-    }
-    return total;
-  }
-};
-
-std::string control_rpc(const std::string& spec, const std::string& line) {
-  serve::Client client;
-  if (const auto status = client.connect(spec); !status) {
-    std::fprintf(stderr, "control connect %s failed: %s\n", spec.c_str(),
-                 status.message().c_str());
-    std::exit(1);
-  }
-  if (const auto status = client.send_line(line); !status) {
-    std::fprintf(stderr, "control send failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  auto reply = client.read_line_for(60'000);
-  if (!reply) {
-    std::fprintf(stderr, "control '%s' on %s got no reply: %s\n", line.c_str(),
-                 spec.c_str(), reply.message().c_str());
-    std::exit(1);
-  }
-  return reply.value();
-}
-
-StatsLine query_stats(const std::string& spec) {
-  StatsLine stats;
-  for (const auto field : common::split(control_rpc(spec, "stats"), " ")) {
-    const auto eq = field.find('=');
-    if (eq == std::string_view::npos) continue;
-    stats.values[std::string(field.substr(0, eq))] =
-        std::strtoull(std::string(field.substr(eq + 1)).c_str(), nullptr, 10);
-  }
-  return stats;
-}
-
 std::set<std::string> slist_of(const std::string& spec) {
   const std::string reply = control_rpc(spec, "slist");
   std::set<std::string> names;
@@ -547,20 +322,12 @@ std::set<std::string> slist_of(const std::string& spec) {
   return names;
 }
 
-bool drain_node(NodeProc& node, const char* run_label) {
-  const std::string ack = control_rpc(node.spec, "drain");
-  if (ack != "draining") {
-    std::printf("  FAIL %s: node %u did not acknowledge drain\n", run_label, node.id);
-    return false;
-  }
+void drain_node(NodeProc& node, Gate& gate) {
+  if (!gate(send_drain(node.spec, gate.label))) return;
   const ExitInfo info = reap(node.pid);
   node.pid = -1;
-  if (!info.exited || info.exit_code != 0) {
-    std::printf("  FAIL %s: node %u drain did not exit 0 (exited=%d code=%d sig=%d)\n",
-                run_label, node.id, info.exited ? 1 : 0, info.exit_code, info.signal);
-    return false;
-  }
-  return true;
+  gate(info.clean(), "node %u drain did not exit 0 (exited=%d code=%d sig=%d)", node.args.id,
+       info.exited ? 1 : 0, info.exit_code, info.signal);
 }
 
 // Bit-flip one mid-file byte of every resident artifact (the checksum
@@ -596,32 +363,35 @@ std::size_t corrupt_store(const std::string& dir) {
 
 struct Cluster {
   std::vector<NodeProc> nodes;
-  std::string members;
 };
 
 Cluster make_cluster(const char* label, unsigned count,
                      std::optional<std::uint64_t> fault_seed, std::uint64_t hb_ms) {
   namespace fs = std::filesystem;
   Cluster cluster;
+  std::string members;
   std::set<std::uint16_t> ports;
   for (unsigned id = 0; id < count; ++id) {
     NodeProc node;
-    node.id = id;
+    node.args.id = id;
     std::uint16_t port = pick_free_port();
     while (ports.count(port) != 0) port = pick_free_port();
     ports.insert(port);
     node.spec = common::format("tcp:127.0.0.1:%u", port);
-    node.store_dir = common::format("warpd_cluster_%s_%d_n%u", label,
-                                    static_cast<int>(::getpid()), id);
+    node.args.store_dir = common::format("warpd_cluster_%s_%d_n%u", label,
+                                         static_cast<int>(::getpid()), id);
     std::error_code ec;
-    fs::remove_all(node.store_dir, ec);
-    if (fault_seed) node.fault_seed = *fault_seed + id * 1000;
-    node.hb_ms = hb_ms;
-    if (!cluster.members.empty()) cluster.members += ',';
-    cluster.members += node.spec;
+    fs::remove_all(node.args.store_dir, ec);
+    if (fault_seed) node.args.fault_seed = *fault_seed + id * 1000;
+    node.args.hb_ms = hb_ms;
+    if (!members.empty()) members += ',';
+    members += node.spec;
     cluster.nodes.push_back(std::move(node));
   }
-  for (auto& node : cluster.nodes) spawn_node(node, cluster.members);
+  for (auto& node : cluster.nodes) {
+    node.args.members = members;
+    spawn_node(node);
+  }
   return cluster;
 }
 
@@ -634,7 +404,7 @@ void destroy_cluster(Cluster& cluster) {
       node.pid = -1;
     }
     std::error_code ec;
-    fs::remove_all(node.store_dir, ec);
+    fs::remove_all(node.args.store_dir, ec);
   }
 }
 
@@ -650,7 +420,7 @@ struct RunResult {
                 repairs_pushed = 0;
   std::uint64_t quarantined = 0, fault_injected = 0;
   unsigned kills = 0;
-  bool converged = false;
+  std::optional<bool> converged;  // nullopt: the run does not measure it
   bool bit_identical = true;
   double wall_ms = 0.0;
   bool passed = false;
@@ -673,7 +443,7 @@ void print_run(const RunResult& r) {
   std::printf(
       "  %-10s sessions=%3zu ok=%3llu fwd=%3llu fwd_fail=%2llu fallback=%2llu "
       "fwd_in=%3llu pushes=%3llu pull_hits=%2llu repaired=%2llu quarantined=%2llu "
-      "kills=%u converged=%d wall=%6.0fms %s\n",
+      "kills=%u converged=%s wall=%6.0fms %s\n",
       r.label.c_str(), r.sessions, static_cast<unsigned long long>(r.ok),
       static_cast<unsigned long long>(r.forwards),
       static_cast<unsigned long long>(r.forward_failures),
@@ -682,8 +452,8 @@ void print_run(const RunResult& r) {
       static_cast<unsigned long long>(r.repl_pushes),
       static_cast<unsigned long long>(r.repl_pull_hits),
       static_cast<unsigned long long>(r.repairs_pulled + r.repairs_pushed),
-      static_cast<unsigned long long>(r.quarantined), r.kills, r.converged ? 1 : 0,
-      r.wall_ms, r.passed ? "PASS" : "FAIL");
+      static_cast<unsigned long long>(r.quarantined), r.kills,
+      !r.converged ? "-" : *r.converged ? "1" : "0", r.wall_ms, r.passed ? "PASS" : "FAIL");
 }
 
 std::vector<Request> make_cycle(std::size_t cycles, std::size_t keys,
@@ -711,18 +481,18 @@ bool slists_converged(const Cluster& cluster) {
 // link faults can starve individual transfers. Drive rounds on every node
 // until the artifact sets agree, bounded; print the residual diff when they
 // never do.
-bool repair_until_converged(const Cluster& cluster, const char* run_label) {
+bool repair_until_converged(const Cluster& cluster, Gate& gate) {
   for (int round = 0; round < 8; ++round) {
     for (const auto& node : cluster.nodes) {
-      if (!common::starts_with(control_rpc(node.spec, "repair"), "sok")) {
-        std::printf("  FAIL %s: repair op failed on node %u\n", run_label, node.id);
+      if (!gate(common::starts_with(control_rpc(node.spec, "repair"), "sok"),
+                "repair op failed on node %u", node.args.id)) {
         return false;
       }
     }
     if (slists_converged(cluster)) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
-  std::printf("  FAIL %s: artifact sets did not converge after repair\n", run_label);
+  gate(false, "artifact sets did not converge after repair");
   const auto reference = slist_of(cluster.nodes[0].spec);
   for (const auto& node : cluster.nodes) {
     const auto have = slist_of(node.spec);
@@ -730,7 +500,7 @@ bool repair_until_converged(const Cluster& cluster, const char* run_label) {
     for (const auto& name : reference) missing += have.count(name) == 0 ? 1 : 0;
     for (const auto& name : have) extra += reference.count(name) == 0 ? 1 : 0;
     std::printf("    node %u: %zu artifacts, vs node 0: %zu missing, %zu extra\n",
-                node.id, have.size(), missing, extra);
+                node.args.id, have.size(), missing, extra);
   }
   return false;
 }
@@ -747,10 +517,10 @@ void wait_for_peers(const std::string& spec, std::uint64_t want) {
 
 // Clean 3-node routing + replication: forwards land on ring owners, every
 // artifact replicates everywhere, every wait chain replays exactly.
-RunResult forward_run(const std::map<std::string, warpsys::MultiWarpEntry>& references,
-                      std::size_t cycles) {
+RunResult forward_run(const References& references, std::size_t cycles) {
   RunResult result;
   result.label = "forward";
+  Gate gate{result.label};
   const auto wall_start = Clock::now();
   Cluster cluster = make_cluster("fwd", 3, std::nullopt, 100);
 
@@ -759,42 +529,28 @@ RunResult forward_run(const std::map<std::string, warpsys::MultiWarpEntry>& refe
   ChainMap chains;
   common::Rng rng(7);
   const std::vector<unsigned> incarnations(3, 0);
-  bool ok = run_phase("forward", cluster.nodes[0].spec, requests, references,
-                      incarnations, chains, rng, result.ok, result.busy_retries);
-  ok = verify_chains(chains, /*exact=*/true, "forward") && ok;
-  result.bit_identical = ok;
+  gate(run_phase("forward", cluster.nodes[0].spec, requests, references, incarnations, chains,
+                 rng, result.ok, result.busy_retries));
+  gate(verify_chains(chains, /*exact=*/true, "forward"));
+  result.bit_identical = gate.ok;
 
   for (const auto& node : cluster.nodes) accumulate(result, query_stats(node.spec));
-  if (result.ok != result.sessions) {
-    std::printf("  FAIL forward: %llu/%zu sessions completed\n",
-                static_cast<unsigned long long>(result.ok), result.sessions);
-    ok = false;
-  }
-  if (result.forwards == 0) {
-    std::printf("  FAIL forward: no session was forwarded to a ring peer\n");
-    ok = false;
-  }
-  if (result.forward_failures != 0 || result.forwarded_in != result.forwards) {
-    std::printf("  FAIL forward: clean run lost forwards (fwd=%llu in=%llu fail=%llu)\n",
-                static_cast<unsigned long long>(result.forwards),
-                static_cast<unsigned long long>(result.forwarded_in),
-                static_cast<unsigned long long>(result.forward_failures));
-    ok = false;
-  }
-  if (result.repl_pushes == 0) {
-    std::printf("  FAIL forward: no artifact was pushed to a replica\n");
-    ok = false;
-  }
+  gate(result.ok == result.sessions, "%llu/%zu sessions completed",
+       static_cast<unsigned long long>(result.ok), result.sessions);
+  gate(result.forwards != 0, "no session was forwarded to a ring peer");
+  gate(result.forward_failures == 0 && result.forwarded_in == result.forwards,
+       "clean run lost forwards (fwd=%llu in=%llu fail=%llu)",
+       static_cast<unsigned long long>(result.forwards),
+       static_cast<unsigned long long>(result.forwarded_in),
+       static_cast<unsigned long long>(result.forward_failures));
+  gate(result.repl_pushes != 0, "no artifact was pushed to a replica");
   result.converged = slists_converged(cluster);
-  if (!result.converged) {
-    std::printf("  FAIL forward: replica artifact sets did not converge\n");
-    ok = false;
-  }
-  for (auto& node : cluster.nodes) ok = drain_node(node, "forward") && ok;
+  gate(*result.converged, "replica artifact sets did not converge");
+  for (auto& node : cluster.nodes) drain_node(node, gate);
   destroy_cluster(cluster);
   result.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - wall_start).count();
-  result.passed = ok;
+  result.passed = gate.ok;
   print_run(result);
   return result;
 }
@@ -802,11 +558,12 @@ RunResult forward_run(const std::map<std::string, warpsys::MultiWarpEntry>& refe
 // SIGKILL a peer that owns live kernels mid-stream, with transient fault
 // schedules armed cluster-wide: every session must still complete
 // bit-identically, the failed forwards recomputed on the local pipeline.
-RunResult failover_run(const std::map<std::string, warpsys::MultiWarpEntry>& references,
-                       const std::vector<unsigned>& owners, unsigned victim,
-                       std::size_t cycles, std::uint64_t fault_seed) {
+// Convergence is not measured here (`converged` stays null).
+RunResult failover_run(const References& references, unsigned victim, std::size_t cycles,
+                       std::uint64_t fault_seed) {
   RunResult result;
   result.label = "failover";
+  Gate gate{result.label};
   const auto wall_start = Clock::now();
   // Slow heartbeats: the first post-kill forward must hit the dead socket
   // (and fall back) before the health checker quietly reshards around it.
@@ -820,60 +577,45 @@ RunResult failover_run(const std::map<std::string, warpsys::MultiWarpEntry>& ref
   KillPlan kill_plan;
   kill_plan.pid = cluster.nodes[victim].pid;
   kill_plan.after_ok = std::max<std::uint64_t>(4, result.sessions / 6);
-  bool ok = run_phase("failover", cluster.nodes[0].spec, requests, references,
-                      incarnations, chains, rng, result.ok, result.busy_retries,
-                      &kill_plan);
+  gate(run_phase("failover", cluster.nodes[0].spec, requests, references, incarnations, chains,
+                 rng, result.ok, result.busy_retries, &kill_plan));
   // Chaos can eat forwarded replies (the origin recomputes, the remote twin
   // still charged its clock), so every chain is a lower bound here.
-  ok = verify_chains(chains, /*exact=*/false, "failover") && ok;
-  result.bit_identical = ok;
+  gate(verify_chains(chains, /*exact=*/false, "failover"));
+  result.bit_identical = gate.ok;
 
-  if (!kill_plan.fired) {
-    std::printf("  FAIL failover: kill threshold never reached\n");
-    ok = false;
+  if (!gate(kill_plan.fired, "kill threshold never reached")) {
     ::kill(cluster.nodes[victim].pid, SIGKILL);
   }
   const ExitInfo info = reap(cluster.nodes[victim].pid);
   cluster.nodes[victim].pid = -1;
   ++result.kills;
-  if (!info.signaled || info.signal != SIGKILL) {
-    std::printf("  FAIL failover: victim did not die by SIGKILL (signaled=%d sig=%d)\n",
-                info.signaled ? 1 : 0, info.signal);
-    ok = false;
-  }
-  if (result.ok != result.sessions) {
-    std::printf("  FAIL failover: %llu/%zu sessions completed\n",
-                static_cast<unsigned long long>(result.ok), result.sessions);
-    ok = false;
-  }
+  gate(info.killed_by(SIGKILL), "victim did not die by SIGKILL (signaled=%d sig=%d)",
+       info.signaled ? 1 : 0, info.signal);
+  gate(result.ok == result.sessions, "%llu/%zu sessions completed",
+       static_cast<unsigned long long>(result.ok), result.sessions);
   for (const auto& node : cluster.nodes) {
     if (node.pid > 0) accumulate(result, query_stats(node.spec));
   }
-  if (result.local_fallbacks == 0) {
-    std::printf("  FAIL failover: no forward fell back to the local pipeline\n");
-    ok = false;
-  }
-  if (result.fault_injected == 0) {
-    std::printf("  FAIL failover: the fault schedule never fired\n");
-    ok = false;
-  }
+  gate(result.local_fallbacks != 0, "no forward fell back to the local pipeline");
+  gate(result.fault_injected != 0, "the fault schedule never fired");
   for (auto& node : cluster.nodes) {
-    if (node.pid > 0) ok = drain_node(node, "failover") && ok;
+    if (node.pid > 0) drain_node(node, gate);
   }
   destroy_cluster(cluster);
   result.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - wall_start).count();
-  result.passed = ok;
+  result.passed = gate.ok;
   print_run(result);
-  (void)owners;
   return result;
 }
 
 // Symmetric partition + slow link + corrupt replica + anti-entropy repair.
-RunResult partition_run(const std::map<std::string, warpsys::MultiWarpEntry>& references,
-                        unsigned victim, std::size_t cycles, std::uint64_t fault_seed) {
+RunResult partition_run(const References& references, unsigned victim, std::size_t cycles,
+                        std::uint64_t fault_seed) {
   RunResult result;
   result.label = "partition";
+  Gate gate{result.label};
   const auto wall_start = Clock::now();
   Cluster cluster = make_cluster("part", 3, fault_seed, 100);
   NodeProc& v = cluster.nodes[victim];
@@ -882,14 +624,12 @@ RunResult partition_run(const std::map<std::string, warpsys::MultiWarpEntry>& re
   ChainMap chains;
   common::Rng rng(fault_seed + 29);
   std::vector<unsigned> incarnations(3, 0);
-  bool ok = true;
 
   // Phase A: warm the base kernels through node 0; replication fans the
   // artifacts out to every node.
   const auto phase_a = make_cycle(cycles, kBaseKeys, 0);
-  ok = run_phase("partition/A", cluster.nodes[0].spec, phase_a, references, incarnations,
-                 chains, rng, result.ok, result.busy_retries) &&
-       ok;
+  gate(run_phase("partition/A", cluster.nodes[0].spec, phase_a, references, incarnations,
+                 chains, rng, result.ok, result.busy_retries));
 
   // Partition the victim symmetrically and slow the surviving link.
   for (unsigned id : {0u, other}) {
@@ -899,24 +639,19 @@ RunResult partition_run(const std::map<std::string, warpsys::MultiWarpEntry>& re
   control_rpc(cluster.nodes[0].spec, common::format("peer_slow id=%u ms=25", other));
   // The victim must be out of node 0's ring view. `peers_up == 0` is also
   // acceptable: with faults armed the surviving link can transiently flap.
-  if (query_stats(cluster.nodes[0].spec).get("peers_up") > 1) {
-    std::printf("  FAIL partition: victim still in node 0's ring view\n");
-    ok = false;
-  }
+  gate(query_stats(cluster.nodes[0].spec).get("peers_up") <= 1,
+       "victim still in node 0's ring view");
 
   // Phase B: new kernels (the 3 extra keys) plus the base mix. The victim
   // must see none of it — no forwards cross the partition — and must
   // therefore miss the new artifacts.
   const std::uint64_t fwd_in_before = query_stats(v.spec).get("forwarded_in");
   const auto phase_b = make_cycle(cycles, kAllKeys, 1000);
-  ok = run_phase("partition/B", cluster.nodes[0].spec, phase_b, references, incarnations,
-                 chains, rng, result.ok, result.busy_retries) &&
-       ok;
+  gate(run_phase("partition/B", cluster.nodes[0].spec, phase_b, references, incarnations,
+                 chains, rng, result.ok, result.busy_retries));
   result.sessions = phase_a.size() + phase_b.size();
-  if (query_stats(v.spec).get("forwarded_in") != fwd_in_before) {
-    std::printf("  FAIL partition: sessions crossed the simulated partition\n");
-    ok = false;
-  }
+  gate(query_stats(v.spec).get("forwarded_in") == fwd_in_before,
+       "sessions crossed the simulated partition");
   {
     // The new artifacts live somewhere on the live side of the partition
     // (transient store faults decide whether node 0 or its peer persisted a
@@ -926,10 +661,7 @@ RunResult partition_run(const std::map<std::string, warpsys::MultiWarpEntry>& re
     const auto have_v = slist_of(v.spec);
     std::size_t missing = 0;
     for (const auto& name : live_side) missing += have_v.count(name) == 0 ? 1 : 0;
-    if (missing == 0) {
-      std::printf("  FAIL partition: isolated replica missed nothing\n");
-      ok = false;
-    }
+    gate(missing != 0, "isolated replica missed nothing");
   }
 
   // Heal the partition, then drive anti-entropy to convergence: all three
@@ -939,8 +671,7 @@ RunResult partition_run(const std::map<std::string, warpsys::MultiWarpEntry>& re
     control_rpc(v.spec, common::format("peer_up id=%u", id));
   }
   control_rpc(cluster.nodes[0].spec, common::format("peer_slow id=%u ms=0", other));
-  result.converged = repair_until_converged(cluster, "partition");
-  ok = result.converged && ok;
+  result.converged = repair_until_converged(cluster, gate);
 
   // Corrupt-replica chaos: kill the victim, bit-flip every artifact in its
   // store, respawn it and serve its own kernels — each damaged artifact must
@@ -949,57 +680,35 @@ RunResult partition_run(const std::map<std::string, warpsys::MultiWarpEntry>& re
   const ExitInfo info = reap(v.pid);
   v.pid = -1;
   ++result.kills;
-  if (!info.signaled || info.signal != SIGKILL) {
-    std::printf("  FAIL partition: victim did not die by SIGKILL\n");
-    ok = false;
-  }
-  if (corrupt_store(v.store_dir) == 0) {
-    std::printf("  FAIL partition: no artifacts to corrupt in %s\n", v.store_dir.c_str());
-    ok = false;
-  }
-  if (v.fault_seed) *v.fault_seed += 17;
-  v.incarnation = 1;
-  spawn_node(v, cluster.members);
+  gate(info.killed_by(SIGKILL), "victim did not die by SIGKILL");
+  gate(corrupt_store(v.args.store_dir) != 0, "no artifacts to corrupt in %s",
+       v.args.store_dir.c_str());
+  if (v.args.fault_seed) *v.args.fault_seed += 17;
+  spawn_node(v);
   incarnations[victim] = 1;
   wait_for_peers(v.spec, 2);  // the pull-on-miss gate needs reachable peers
 
   const auto phase_c = make_cycle(cycles, kBaseKeys, 2000);
-  ok = run_phase("partition/C", v.spec, phase_c, references, incarnations, chains, rng,
-                 result.ok, result.busy_retries) &&
-       ok;
+  gate(run_phase("partition/C", v.spec, phase_c, references, incarnations, chains, rng,
+                 result.ok, result.busy_retries));
   result.sessions += phase_c.size();
-  {
-    const StatsLine sv = query_stats(v.spec);
-    if (sv.get("store.quarantined") == 0) {
-      std::printf("  FAIL partition: corrupted replica quarantined nothing\n");
-      ok = false;
-    }
-    if (sv.get("repl.pull_hits") == 0) {
-      std::printf("  FAIL partition: no damaged artifact was re-pulled from a peer\n");
-      ok = false;
-    }
-  }
-  const bool reconverged = repair_until_converged(cluster, "partition");
-  result.converged = reconverged && result.converged;
-  ok = reconverged && ok;
+  const StatsLine sv = query_stats(v.spec);
+  gate(sv.get("store.quarantined") != 0, "corrupted replica quarantined nothing");
+  gate(sv.get("repl.pull_hits") != 0, "no damaged artifact was re-pulled from a peer");
+  const bool reconverged = repair_until_converged(cluster, gate);
+  result.converged = reconverged && *result.converged;
 
-  ok = verify_chains(chains, /*exact=*/false, "partition") && ok;
-  result.bit_identical = ok;
+  gate(verify_chains(chains, /*exact=*/false, "partition"));
+  result.bit_identical = gate.ok;
   for (const auto& node : cluster.nodes) accumulate(result, query_stats(node.spec));
-  if (result.ok != result.sessions) {
-    std::printf("  FAIL partition: %llu/%zu sessions completed\n",
-                static_cast<unsigned long long>(result.ok), result.sessions);
-    ok = false;
-  }
-  if (result.fault_injected == 0) {
-    std::printf("  FAIL partition: the fault schedule never fired\n");
-    ok = false;
-  }
-  for (auto& node : cluster.nodes) ok = drain_node(node, "partition") && ok;
+  gate(result.ok == result.sessions, "%llu/%zu sessions completed",
+       static_cast<unsigned long long>(result.ok), result.sessions);
+  gate(result.fault_injected != 0, "the fault schedule never fired");
+  for (auto& node : cluster.nodes) drain_node(node, gate);
   destroy_cluster(cluster);
   result.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - wall_start).count();
-  result.passed = ok;
+  result.passed = gate.ok;
   print_run(result);
   return result;
 }
@@ -1037,8 +746,8 @@ void emit_json(const std::vector<RunResult>& runs, std::uint64_t fault_seed) {
         static_cast<unsigned long long>(r.repairs_pushed),
         static_cast<unsigned long long>(r.quarantined),
         static_cast<unsigned long long>(r.fault_injected), r.kills,
-        r.converged ? "true" : "false", r.wall_ms, r.bit_identical ? "true" : "false",
-        i + 1 < runs.size() ? "," : "");
+        !r.converged ? "null" : *r.converged ? "true" : "false", r.wall_ms,
+        r.bit_identical ? "true" : "false", i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
@@ -1050,41 +759,25 @@ void emit_json(const std::vector<RunResult>& runs, std::uint64_t fault_seed) {
 int main(int argc, char** argv) {
   bool node_mode = false;
   bool check = false;
-  std::uint64_t fault_seed = 1;
   std::size_t sessions = 24;
-  NodeArgs node_args;
-  bool have_fault_seed = false;
+  DaemonArgs node_args;  // the node's flags; --fault-seed also seeds the driver
   for (int i = 1; i < argc; ++i) {
-    const auto uint_arg = [&](const char* flag) -> std::uint64_t {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", flag);
-        std::exit(1);
-      }
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "%s expects an unsigned integer, got '%s'\n", flag, argv[i]);
-        std::exit(1);
-      }
-      return value;
-    };
     if (std::strcmp(argv[i], "--node") == 0) {
       node_mode = true;
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
     } else if (std::strcmp(argv[i], "--id") == 0) {
-      node_args.id = static_cast<unsigned>(uint_arg("--id"));
+      node_args.id = static_cast<unsigned>(uint_flag(argc, argv, i));
     } else if (std::strcmp(argv[i], "--members") == 0 && i + 1 < argc) {
       node_args.members = argv[++i];
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
       node_args.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--hb-ms") == 0) {
-      node_args.hb_ms = uint_arg("--hb-ms");
+      node_args.hb_ms = uint_flag(argc, argv, i);
     } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-      fault_seed = uint_arg("--fault-seed");
-      have_fault_seed = true;
+      node_args.fault_seed = uint_flag(argc, argv, i);
     } else if (std::strcmp(argv[i], "--sessions") == 0) {
-      sessions = static_cast<std::size_t>(uint_arg("--sessions"));
+      sessions = uint_flag(argc, argv, i);
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --check, --fault-seed S, "
@@ -1098,10 +791,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--node requires --members LIST and --store DIR\n");
       return 1;
     }
-    if (have_fault_seed) node_args.fault_seed = fault_seed;
     return run_node(node_args);
   }
 
+  const std::uint64_t fault_seed = node_args.fault_seed.value_or(1);
   const std::size_t cycles = std::max<std::size_t>(2, sessions / kBaseKeys);
   std::printf("warpd_cluster%s: 3 nodes over tcp, %zu-key kernel mix, fault seed %llu\n",
               check ? " --check" : "", kAllKeys,
@@ -1142,7 +835,7 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   results.push_back(forward_run(references, cycles));
   ok = results.back().passed && ok;
-  results.push_back(failover_run(references, owners, victim, cycles + 2, fault_seed));
+  results.push_back(failover_run(references, victim, cycles + 2, fault_seed));
   ok = results.back().passed && ok;
   results.push_back(partition_run(references, victim, std::max<std::size_t>(2, cycles / 2),
                                   fault_seed + 5000));

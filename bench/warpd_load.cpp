@@ -31,25 +31,17 @@
 //              drain gracefully via the "drain" op, exiting 0.
 //
 // Verification is reply-table-only — the driver never peeks into the
-// daemon:
-//   pure fields   every "ok" reply's (sw_s, warped_s, speedup, dpm_s,
-//                 warped, detail) must equal a run_serial reference for that
-//                 workload+overrides, bit for bit off the wire (%.17g);
-//   wait chain    per daemon incarnation, the ok replies sorted by wait_s
-//                 must replay through a DpmVirtualClock: each wait equals
-//                 the clock's accumulated busy time and each dpm_s is then
-//                 charged. Exact for incarnations whose replies all
-//                 arrived; a lower bound (lost replies only add busy time)
-//                 for a SIGKILLed incarnation.
+// daemon. Every "ok" reply's pure fields must equal a run_serial reference
+// bit for bit, and each daemon incarnation's waits must replay through the
+// virtual DPM clock: exactly when every reply arrived, as a lower bound for
+// a SIGKILLed incarnation (bench/warpd_harness.hpp has both checkers).
 //
 // Emits BENCH_warpd_load.json (schema in docs/benchmarks.md). --check runs
 // a reduced gate set and writes no JSON — the CI soak job wraps
 // `warpd_load --check --chaos --fault-seed S` in a hard timeout.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -57,164 +49,29 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include "common/fault_injector.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "experiments/harness.hpp"
-#include "partition/cache.hpp"
-#include "partition/disk_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/warpd.hpp"
-#include "warp/warp_system.hpp"
+#include "warpd_harness.hpp"
 
 namespace {
 
 using namespace warp;
+using namespace warp::bench;
 using Clock = std::chrono::steady_clock;
-using serve::protocol::Request;
 
-// --- hidden --daemon mode --------------------------------------------------
-
-volatile std::sig_atomic_t g_sigterm = 0;
-void on_sigterm(int) { g_sigterm = 1; }
-
-struct DaemonArgs {
-  std::string socket;
-  std::string store_dir;
-  std::optional<std::uint64_t> fault_seed;  // transient_sweep profile
-  unsigned shards = 2;
-  unsigned workers = 2;
-  std::size_t max_sessions = 0;
-  std::size_t max_queued = 0;
-};
-
-// The child process: one SocketServer supervised by a 50ms poll loop. SIGTERM
-// (the handler only sets a flag — drain takes locks) or a remote "drain" op
-// ends the loop; drain() finishes in-flight sessions, probes the store-flush
-// barrier and stops. Exit 0 is the graceful-shutdown contract the driver
-// asserts.
-int run_daemon(const DaemonArgs& args) {
-  std::signal(SIGTERM, on_sigterm);
-  std::optional<common::FaultInjector> fault;
-  if (args.fault_seed) {
-    fault.emplace(common::FaultConfig::transient_sweep(*args.fault_seed));
-  }
-  std::optional<partition::DiskArtifactStore> store;
-  partition::ArtifactCache cache;
-  if (!args.store_dir.empty()) {
-    store.emplace(partition::DiskStoreOptions{.directory = args.store_dir,
-                                              .fault = fault ? &*fault : nullptr});
-    cache.attach_store(&*store);
-  }
-  serve::WarpdOptions engine;
-  engine.shards = args.shards;
-  engine.workers = args.workers;
-  engine.base = experiments::default_options();
-  engine.cache = &cache;
-  engine.fault = fault ? &*fault : nullptr;
-  engine.admission.max_sessions = args.max_sessions;
-  engine.admission.max_queued = args.max_queued;
-  serve::SocketServerOptions options;
-  options.path = args.socket;
-  options.engine = engine;
-  options.fault = fault ? &*fault : nullptr;
-  serve::SocketServer server(options);
-  if (const auto status = server.start(); !status) {
-    std::fprintf(stderr, "warpd_load --daemon: %s\n", status.message().c_str());
-    return 1;
-  }
-  while (!g_sigterm && !server.drain_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  server.drain();
-  return 0;
-}
-
-// --- daemon supervision from the driver ------------------------------------
-
-pid_t spawn_daemon(const DaemonArgs& args) {
-  std::vector<std::string> argv_store = {"/proc/self/exe", "--daemon", "--socket",
-                                         args.socket,      "--shards", std::to_string(args.shards),
-                                         "--workers",      std::to_string(args.workers)};
-  if (!args.store_dir.empty()) {
-    argv_store.push_back("--store");
-    argv_store.push_back(args.store_dir);
-  }
-  if (args.fault_seed) {
-    argv_store.push_back("--fault-seed");
-    argv_store.push_back(std::to_string(*args.fault_seed));
-  }
-  if (args.max_sessions != 0) {
-    argv_store.push_back("--max-sessions");
-    argv_store.push_back(std::to_string(args.max_sessions));
-  }
-  if (args.max_queued != 0) {
-    argv_store.push_back("--max-queued");
-    argv_store.push_back(std::to_string(args.max_queued));
-  }
-  std::vector<char*> argv;
-  for (auto& arg : argv_store) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "fork failed: %s\n", std::strerror(errno));
-    std::exit(1);
-  }
-  if (pid == 0) {
-    ::execv("/proc/self/exe", argv.data());
-    std::fprintf(stderr, "execv failed: %s\n", std::strerror(errno));
-    ::_exit(127);
-  }
-  // Ready when the socket accepts a connection (start() binds before the
-  // supervisor loop runs, so this is quick).
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    int status = 0;
-    if (::waitpid(pid, &status, WNOHANG) == pid) {
-      std::fprintf(stderr, "daemon died during startup (status %d)\n", status);
-      std::exit(1);
-    }
-    serve::Client probe;
-    if (probe.connect(args.socket)) return pid;
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  std::fprintf(stderr, "daemon never became reachable on %s\n", args.socket.c_str());
-  ::kill(pid, SIGKILL);
-  std::exit(1);
-}
-
-// Reap the daemon and return how it ended.
-struct ExitInfo {
-  bool exited = false;    // WIFEXITED
-  int exit_code = -1;
-  bool signaled = false;  // WIFSIGNALED
-  int signal = 0;
-};
-
-ExitInfo reap(pid_t pid) {
-  int status = 0;
-  ExitInfo info;
-  if (::waitpid(pid, &status, 0) != pid) return info;
-  info.exited = WIFEXITED(status);
-  if (info.exited) info.exit_code = WEXITSTATUS(status);
-  info.signaled = WIFSIGNALED(status);
-  if (info.signaled) info.signal = WTERMSIG(status);
-  return info;
-}
-
-// --- request stream and serial references ----------------------------------
+// --- the request stream -------------------------------------------------------
 
 // Three distinct cheap kernels (small max_candidates keeps the CAD flow
 // short on a small host), repeated heavily — repeats are what admission
@@ -228,53 +85,6 @@ Request make_load_request(std::uint64_t id) {
   request.workload = kNames[(id / 2) % 3];
   request.overrides.max_candidates = 2;
   return request;
-}
-
-std::string key_of(const Request& request) {
-  const auto& o = request.overrides;
-  return common::format("%s|%d|%d|%d", request.workload.c_str(),
-                        o.packed_width ? static_cast<int>(*o.packed_width) : -1,
-                        o.max_candidates ? static_cast<int>(*o.max_candidates) : -1,
-                        o.csd_max_terms ? static_cast<int>(*o.csd_max_terms) : -1);
-}
-
-// Everything an "ok" reply claims about the session except its queue
-// position. These must be bit-identical to the serial engine no matter what
-// overload path the session took.
-bool pure_fields_match(const warpsys::MultiWarpEntry& a, const warpsys::MultiWarpEntry& b) {
-  return a.name == b.name && a.detail == b.detail && a.sw_seconds == b.sw_seconds &&
-         a.warped_seconds == b.warped_seconds && a.speedup == b.speedup &&
-         a.dpm_seconds == b.dpm_seconds && a.warped == b.warped;
-}
-
-// run_serial over one request per distinct key: the pure-field reference
-// table. Queue position only affects dpm_wait_seconds, which the wait-chain
-// replay covers separately.
-std::map<std::string, warpsys::MultiWarpEntry> make_references(
-    const std::vector<Request>& requests) {
-  std::map<std::string, warpsys::MultiWarpEntry> references;
-  std::vector<Request> distinct;
-  for (const auto& request : requests) {
-    if (references.emplace(key_of(request), warpsys::MultiWarpEntry{}).second) {
-      Request bare = request;
-      bare.id = distinct.size();
-      bare.seq.reset();
-      bare.deadline_ms.reset();
-      distinct.push_back(bare);
-    }
-  }
-  serve::WarpdOptions options;
-  options.base = experiments::default_options();
-  const auto outcomes = serve::run_serial(distinct, options);
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    if (!outcomes[i].error.empty()) {
-      std::fprintf(stderr, "serial reference rejected %s: %s\n",
-                   distinct[i].workload.c_str(), outcomes[i].error.c_str());
-      std::exit(1);
-    }
-    references[key_of(distinct[i])] = outcomes[i].entry;
-  }
-  return references;
 }
 
 // --- the open-loop client --------------------------------------------------
@@ -297,14 +107,10 @@ struct Tracker {
 };
 
 struct Incarnation {
-  // (wait_s, dpm_s) per ok reply, for the virtual-clock replay.
-  std::vector<std::pair<double, double>> wait_chain;
+  WaitChain wait_chain;  // every ok reply, for the virtual-clock replay
   bool killed = false;  // SIGKILL fired during this incarnation
   bool send_failed = false;
 };
-
-constexpr int kMaxBusyRetries = 200;
-constexpr std::uint64_t kMaxRetrySleepMs = 250;
 
 // One daemon incarnation: stream `ids` open-loop at `rate_per_s` across
 // `connections` client connections (round-robin), retry "busy" replies on
@@ -492,94 +298,6 @@ void run_incarnation(const std::string& socket_path, const std::vector<Request>&
   for (auto& thread : threads) thread.join();
 }
 
-// --- wait-chain replay ------------------------------------------------------
-
-// Sort one incarnation's ok replies by reported wait and replay them through
-// the round-robin DpmVirtualClock. `exact` (every reply observed): each wait
-// must equal the clock bit for bit. Killed incarnations lose replies, and a
-// lost session only *adds* busy time — so each wait must be at least the
-// accumulated lower bound.
-bool verify_wait_chain(std::vector<std::pair<double, double>> chain, bool exact,
-                       const char* label) {
-  std::sort(chain.begin(), chain.end());
-  warpsys::DpmVirtualClock clock;  // kRoundRobin, as the engine's sequencer
-  double lower = 0.0;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const auto [wait, dpm] = chain[i];
-    if (exact) {
-      const double expect = clock.start(0.0);
-      if (wait != expect) {
-        std::printf("  FAIL %s: wait chain diverges at reply %zu: wait=%.17g expected=%.17g\n",
-                    label, i, wait, expect);
-        return false;
-      }
-      clock.finish(dpm);
-    } else {
-      if (wait + 1e-9 < lower) {
-        std::printf("  FAIL %s: wait chain below lower bound at reply %zu: %.17g < %.17g\n",
-                    label, i, wait, lower);
-        return false;
-      }
-      lower = wait + dpm;
-    }
-  }
-  return true;
-}
-
-// --- engine stats over the wire --------------------------------------------
-
-struct StatsLine {
-  std::map<std::string, std::uint64_t> values;
-  std::uint64_t get(const char* key) const {
-    auto it = values.find(key);
-    return it == values.end() ? 0 : it->second;
-  }
-};
-
-StatsLine query_stats(const std::string& socket_path) {
-  serve::Client client;
-  if (const auto status = client.connect(socket_path); !status) {
-    std::fprintf(stderr, "stats connect failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  if (const auto status = client.send_line("stats"); !status) {
-    std::fprintf(stderr, "stats send failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  auto line = client.read_line();
-  if (!line) {
-    std::fprintf(stderr, "stats read failed: %s\n", line.message().c_str());
-    std::exit(1);
-  }
-  StatsLine stats;
-  for (const auto field : common::split(line.value(), " ")) {
-    const auto eq = field.find('=');
-    if (eq == std::string_view::npos) continue;
-    stats.values[std::string(field.substr(0, eq))] =
-        std::strtoull(std::string(field.substr(eq + 1)).c_str(), nullptr, 10);
-  }
-  return stats;
-}
-
-// Ask the daemon to drain over the wire and confirm the "draining" ack; the
-// supervisor loop then finishes in-flight work and exits 0.
-void send_drain(const std::string& socket_path) {
-  serve::Client client;
-  if (const auto status = client.connect(socket_path); !status) {
-    std::fprintf(stderr, "drain connect failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  if (const auto status = client.send_line("drain"); !status) {
-    std::fprintf(stderr, "drain send failed: %s\n", status.message().c_str());
-    std::exit(1);
-  }
-  auto line = client.read_line();
-  if (!line || line.value() != "draining") {
-    std::fprintf(stderr, "drain op not acknowledged\n");
-    std::exit(1);
-  }
-}
-
 // --- one load run ----------------------------------------------------------
 
 struct RunConfig {
@@ -587,17 +305,12 @@ struct RunConfig {
   std::size_t sessions = 32;
   unsigned connections = 1;
   double rate_per_s = 10.0;
-  unsigned shards = 2;
-  unsigned workers = 2;
-  std::size_t max_sessions = 0;  // daemon admission caps (0 = unlimited)
-  std::size_t max_queued = 0;
+  DaemonArgs daemon;  // shards, workers, caps, store, fault seed; socket per run
   std::size_t deadline_every = 0;  // every k-th request carries deadline_ms
   std::uint64_t deadline_ms = 0;
   bool chaos = false;         // SIGKILL mid-stream, warm respawn, resend
   bool use_drain_op = false;  // finish via "drain" op instead of SIGTERM
   bool drain_mid_stream = false;  // drain while busy retries are in flight
-  std::optional<std::uint64_t> fault_seed;
-  std::string store_dir;        // persistent store directory ("" = none)
   bool full_table_gate = false; // 1-connection runs: full run_serial identity
   // Gates this run must satisfy (beyond identity, which every run must).
   bool expect_busy = false;
@@ -618,19 +331,10 @@ struct RunResult {
   bool passed = true;     // identical and every expected-behaviour gate
 };
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-RunResult execute_run(const RunConfig& config,
-                      const std::map<std::string, warpsys::MultiWarpEntry>& references) {
+RunResult execute_run(const RunConfig& config, const References& references) {
   RunResult result;
   result.config = config;
-  bool ok_run = true;
+  Gate gate{config.label};
 
   std::vector<Request> requests;
   for (std::uint64_t id = 0; id < config.sessions; ++id) {
@@ -643,23 +347,17 @@ RunResult execute_run(const RunConfig& config,
 
   const std::string socket_path = common::format(
       "/tmp/warpd_load_%d_%s.sock", static_cast<int>(::getpid()), config.label.c_str());
-  DaemonArgs daemon_args;
+  DaemonArgs daemon_args = config.daemon;
   daemon_args.socket = socket_path;
-  daemon_args.store_dir = config.store_dir;
-  daemon_args.fault_seed = config.fault_seed;
-  daemon_args.shards = config.shards;
-  daemon_args.workers = config.workers;
-  daemon_args.max_sessions = config.max_sessions;
-  daemon_args.max_queued = config.max_queued;
 
   Tracker tracker(config.sessions);
   const auto wall_start = Clock::now();
-  pid_t pid = spawn_daemon(daemon_args);
+  pid_t pid = spawn_self(daemon_argv("--daemon", daemon_args), socket_path);
 
   std::vector<std::uint64_t> all_ids(config.sessions);
   for (std::uint64_t id = 0; id < config.sessions; ++id) all_ids[id] = id;
 
-  const std::uint64_t jitter_seed = config.fault_seed ? *config.fault_seed : 0xD1CEull;
+  const std::uint64_t jitter_seed = config.daemon.fault_seed.value_or(0xD1CEull);
   if (config.chaos) {
     // Phase A: full stream, SIGKILL after a quarter of the sessions land.
     Incarnation phase_a;
@@ -670,21 +368,17 @@ RunResult execute_run(const RunConfig& config,
     // daemon is still alive — put it down so reap() cannot block.
     if (!phase_a.killed) ::kill(pid, SIGKILL);
     const ExitInfo killed = reap(pid);
-    if (!phase_a.killed || !killed.signaled || killed.signal != SIGKILL) {
-      std::printf("  FAIL %s: chaos kill did not land (killed=%d signaled=%d sig=%d)\n",
-                  config.label.c_str(), phase_a.killed ? 1 : 0, killed.signaled ? 1 : 0,
-                  killed.signal);
-      ok_run = false;
-    }
+    gate(phase_a.killed && killed.killed_by(SIGKILL),
+         "chaos kill did not land (killed=%d signaled=%d sig=%d)", phase_a.killed ? 1 : 0,
+         killed.signaled ? 1 : 0, killed.signal);
     ++result.kills;
-    ok_run = verify_wait_chain(phase_a.wait_chain, /*exact=*/false, config.label.c_str()) &&
-             ok_run;
+    gate(verify_wait_chain(phase_a.wait_chain, /*exact=*/false, config.label));
 
     // Phase B: warm respawn on the same socket and store; resend every id
     // without a terminal reply. A different fault seed exercises a second
     // transient schedule against the same artifacts.
     if (daemon_args.fault_seed) *daemon_args.fault_seed += 1000;
-    pid = spawn_daemon(daemon_args);
+    pid = spawn_self(daemon_argv("--daemon", daemon_args), socket_path);
     std::vector<std::uint64_t> remaining;
     {
       std::lock_guard<std::mutex> lock(tracker.mutex);
@@ -694,26 +388,19 @@ RunResult execute_run(const RunConfig& config,
         }
       }
     }
-    if (remaining.empty()) {
-      std::printf("  FAIL %s: chaos kill left nothing to replay\n", config.label.c_str());
-      ok_run = false;
-    }
+    gate(!remaining.empty(), "chaos kill left nothing to replay");
     Incarnation phase_b;
     run_incarnation(socket_path, requests, remaining, config.connections, config.rate_per_s,
                     tracker, phase_b, 0, pid, jitter_seed + 2);
-    if (phase_b.send_failed) {
-      std::printf("  FAIL %s: respawned daemon dropped the connection\n",
-                  config.label.c_str());
-      ok_run = false;
-    }
-    ok_run = verify_wait_chain(phase_b.wait_chain, /*exact=*/true, config.label.c_str()) &&
-             ok_run;
+    gate(!phase_b.send_failed, "respawned daemon dropped the connection");
+    gate(verify_wait_chain(phase_b.wait_chain, /*exact=*/true, config.label));
   } else if (config.drain_mid_stream) {
     // Regression: a "drain" issued while clients are mid busy-retry storm
     // must not wedge or crash the daemon. It sheds the storm busy, finishes
     // the in-flight sessions, closes every connection and exits 0; sessions
     // shed at drain time stay non-terminal by design.
     Incarnation inc;
+    bool drain_acked = false;
     std::thread drainer([&] {
       for (int attempt = 0; attempt < 2000; ++attempt) {
         {
@@ -722,21 +409,20 @@ RunResult execute_run(const RunConfig& config,
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-      send_drain(socket_path);
+      drain_acked = send_drain(socket_path, config.label);
     });
     run_incarnation(socket_path, requests, all_ids, config.connections, config.rate_per_s,
                     tracker, inc, 0, pid, jitter_seed);
     drainer.join();
-    ok_run = verify_wait_chain(inc.wait_chain, /*exact=*/true, config.label.c_str()) && ok_run;
+    if (!drain_acked) ::kill(pid, SIGTERM);  // so the reap below cannot block
+    gate(verify_wait_chain(inc.wait_chain, /*exact=*/true, config.label));
+    gate(drain_acked);
   } else {
     Incarnation inc;
     run_incarnation(socket_path, requests, all_ids, config.connections, config.rate_per_s,
                     tracker, inc, 0, pid, jitter_seed);
-    if (inc.send_failed || inc.killed) {
-      std::printf("  FAIL %s: daemon connection failed without chaos\n", config.label.c_str());
-      ok_run = false;
-    }
-    ok_run = verify_wait_chain(inc.wait_chain, /*exact=*/true, config.label.c_str()) && ok_run;
+    gate(!inc.send_failed && !inc.killed, "daemon connection failed without chaos");
+    gate(verify_wait_chain(inc.wait_chain, /*exact=*/true, config.label));
   }
 
   // Terminal accounting + pure-field identity, all under one lock take.
@@ -747,12 +433,8 @@ RunResult execute_run(const RunConfig& config,
       switch (tracker.state[id]) {
         case IdState::kOk: {
           ++result.ok;
-          const auto& reference = references.at(key_of(requests[id]));
-          if (!pure_fields_match(tracker.entries[id], reference)) {
-            std::printf("  FAIL %s: id=%llu deviates from the serial reference\n",
-                        config.label.c_str(), static_cast<unsigned long long>(id));
-            ok_run = false;
-          }
+          gate(pure_fields_match(tracker.entries[id], references.at(key_of(requests[id]))),
+               "id=%llu deviates from the serial reference", static_cast<unsigned long long>(id));
           break;
         }
         case IdState::kTimeout:
@@ -768,23 +450,17 @@ RunResult execute_run(const RunConfig& config,
         case IdState::kInFlight:
           // A mid-stream drain sheds whatever is still retrying or unsent;
           // everywhere else a non-terminal id is a lost session.
-          if (config.drain_mid_stream) {
-            ++result.shed;
-          } else {
-            std::printf("  FAIL %s: id=%llu never reached a terminal reply\n",
-                        config.label.c_str(), static_cast<unsigned long long>(id));
-            ok_run = false;
-          }
+          gate(config.drain_mid_stream, "id=%llu never reached a terminal reply",
+               static_cast<unsigned long long>(id));
+          result.shed += config.drain_mid_stream ? 1 : 0;
           break;
       }
     }
   }
-  if (result.errors != 0 || result.gave_up != 0) {
-    std::printf("  FAIL %s: %llu err replies, %llu gave up after %d busy retries\n",
-                config.label.c_str(), static_cast<unsigned long long>(result.errors),
-                static_cast<unsigned long long>(result.gave_up), kMaxBusyRetries);
-    ok_run = false;
-  }
+  gate(result.errors == 0 && result.gave_up == 0,
+       "%llu err replies, %llu gave up after %d busy retries",
+       static_cast<unsigned long long>(result.errors),
+       static_cast<unsigned long long>(result.gave_up), kMaxBusyRetries);
 
   // Single-connection streams admit in send order, so the whole table —
   // waits included — must equal run_serial over the same request list.
@@ -794,15 +470,13 @@ RunResult execute_run(const RunConfig& config,
     const auto serial = serve::run_serial(requests, serial_options);
     std::lock_guard<std::mutex> lock(tracker.mutex);
     for (std::uint64_t id = 0; id < config.sessions; ++id) {
-      if (!serial[id].error.empty() || !(tracker.entries[id] == serial[id].entry)) {
-        std::printf("  FAIL %s: full-table mismatch at id=%llu\n", config.label.c_str(),
-                    static_cast<unsigned long long>(id));
-        ok_run = false;
+      if (!gate(serial[id].error.empty() && tracker.entries[id] == serial[id].entry,
+                "full-table mismatch at id=%llu", static_cast<unsigned long long>(id))) {
         break;
       }
     }
   }
-  result.identical = ok_run;
+  result.identical = gate.ok;
 
   // Stats from the (final, graceful) incarnation, then shut it down. A
   // mid-stream drain already took the daemon down — no socket to query.
@@ -813,19 +487,15 @@ RunResult execute_run(const RunConfig& config,
     result.max_queue_depth = stats.get("max_queue_depth");
     result.peak_sessions = stats.get("peak_sessions");
     result.disk_hits = stats.get("disk_hits");
-    if (config.use_drain_op) {
-      send_drain(socket_path);
-    } else {
+    // A daemon that did not acknowledge the drain op still gets SIGTERM, so
+    // the reap below cannot block on it.
+    if (!config.use_drain_op || !gate(send_drain(socket_path, config.label))) {
       ::kill(pid, SIGTERM);
     }
   }
   const ExitInfo exit_info = reap(pid);
-  if (!exit_info.exited || exit_info.exit_code != 0) {
-    std::printf("  FAIL %s: graceful shutdown did not exit 0 (exited=%d code=%d sig=%d)\n",
-                config.label.c_str(), exit_info.exited ? 1 : 0, exit_info.exit_code,
-                exit_info.signal);
-    ok_run = false;
-  }
+  gate(exit_info.clean(), "graceful shutdown did not exit 0 (exited=%d code=%d sig=%d)",
+       exit_info.exited ? 1 : 0, exit_info.exit_code, exit_info.signal);
   result.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - wall_start).count();
   result.goodput_per_s =
@@ -843,38 +513,21 @@ RunResult execute_run(const RunConfig& config,
 
   // Expected-behaviour gates: the run must actually have exercised the
   // machinery it exists to exercise.
-  if (config.expect_busy && result.busy_replies == 0) {
-    std::printf("  FAIL %s: overload run saw no busy replies\n", config.label.c_str());
-    ok_run = false;
-  }
-  if (config.drain_mid_stream && result.shed == 0) {
-    std::printf("  FAIL %s: drain landed after the storm resolved — nothing was shed\n",
-                config.label.c_str());
-    ok_run = false;
-  }
-  if (config.expect_timeouts && result.timeouts == 0) {
-    std::printf("  FAIL %s: deadline run saw no timeout replies\n", config.label.c_str());
-    ok_run = false;
-  }
-  if (config.expect_coalescing &&
-      !(result.coalesced > 0 && result.pipeline_runs < result.ok)) {
-    std::printf("  FAIL %s: no coalescing (coalesced=%llu pipeline_runs=%llu ok=%llu)\n",
-                config.label.c_str(), static_cast<unsigned long long>(result.coalesced),
-                static_cast<unsigned long long>(result.pipeline_runs),
-                static_cast<unsigned long long>(result.ok));
-    ok_run = false;
-  }
-  if (config.expect_disk_hits && result.disk_hits == 0) {
-    std::printf("  FAIL %s: warm respawn served no disk hits\n", config.label.c_str());
-    ok_run = false;
-  }
-  if (config.max_queued != 0 && result.max_queue_depth > config.max_queued) {
-    std::printf("  FAIL %s: max_queue_depth %llu exceeds the cap %zu\n", config.label.c_str(),
-                static_cast<unsigned long long>(result.max_queue_depth), config.max_queued);
-    ok_run = false;
-  }
+  gate(!config.expect_busy || result.busy_replies != 0, "overload run saw no busy replies");
+  gate(!config.drain_mid_stream || result.shed != 0,
+       "drain landed after the storm resolved — nothing was shed");
+  gate(!config.expect_timeouts || result.timeouts != 0, "deadline run saw no timeout replies");
+  gate(!config.expect_coalescing || (result.coalesced > 0 && result.pipeline_runs < result.ok),
+       "no coalescing (coalesced=%llu pipeline_runs=%llu ok=%llu)",
+       static_cast<unsigned long long>(result.coalesced),
+       static_cast<unsigned long long>(result.pipeline_runs),
+       static_cast<unsigned long long>(result.ok));
+  gate(!config.expect_disk_hits || result.disk_hits != 0, "warm respawn served no disk hits");
+  const std::size_t cap = config.daemon.max_queued;
+  gate(cap == 0 || result.max_queue_depth <= cap, "max_queue_depth %llu exceeds the cap %zu",
+       static_cast<unsigned long long>(result.max_queue_depth), cap);
 
-  result.passed = ok_run;
+  result.passed = gate.ok;
   std::printf(
       "  %-16s conns=%u rate=%4.0f/s sessions=%3zu ok=%3llu busy=%4llu timeout=%3llu "
       "coalesced=%3llu runs=%3llu depth=%2llu kills=%u wall=%6.0fms p50=%6.1fms %s\n",
@@ -910,8 +563,8 @@ RunConfig overload_config(std::size_t sessions) {
   config.sessions = sessions;
   config.connections = 3;
   config.rate_per_s = 5000.0;  // a burst: arrivals far beyond the service rate
-  config.max_sessions = 6;
-  config.max_queued = 4;
+  config.daemon.max_sessions = 6;
+  config.daemon.max_queued = 4;
   config.expect_busy = true;
   config.expect_coalescing = true;
   return config;
@@ -927,8 +580,8 @@ RunConfig drainstorm_config(std::size_t sessions) {
   config.sessions = std::min<std::size_t>(sessions, 32);
   config.connections = 3;
   config.rate_per_s = 5000.0;
-  config.max_sessions = 6;
-  config.max_queued = 4;
+  config.daemon.max_sessions = 6;
+  config.daemon.max_queued = 4;
   config.drain_mid_stream = true;
   config.expect_busy = true;
   return config;
@@ -940,7 +593,7 @@ RunConfig deadline_config(std::size_t sessions) {
   config.sessions = std::min<std::size_t>(sessions, 32);
   config.connections = 2;
   config.rate_per_s = 5000.0;
-  config.workers = 1;  // one worker: the queue builds, deadlines bite
+  config.daemon.workers = 1;  // one worker: the queue builds, deadlines bite
   config.deadline_every = 2;
   config.deadline_ms = 1;  // far below the queue wait a burst creates
   config.expect_timeouts = true;
@@ -954,12 +607,12 @@ RunConfig chaos_config(std::size_t sessions, const std::string& store_dir,
   config.sessions = sessions;
   config.connections = 2;
   config.rate_per_s = 2000.0;
-  config.max_sessions = 8;
-  config.max_queued = 6;
+  config.daemon.max_sessions = 8;
+  config.daemon.max_queued = 6;
   config.chaos = true;
   config.use_drain_op = true;
-  config.store_dir = store_dir;
-  config.fault_seed = fault_seed;
+  config.daemon.store_dir = store_dir;
+  config.daemon.fault_seed = fault_seed;
   config.expect_busy = true;
   config.expect_disk_hits = true;
   return config;
@@ -1010,24 +663,8 @@ int main(int argc, char** argv) {
   bool check = false;
   bool chaos = false;
   std::size_t sessions = 48;
-  std::uint64_t fault_seed = 1;
-  bool have_fault_seed = false;
-  DaemonArgs daemon_args;
-  std::string store_dir;
+  DaemonArgs daemon_args;  // the daemon's flags; --store/--fault-seed also drive chaos
   for (int i = 1; i < argc; ++i) {
-    const auto uint_arg = [&](const char* flag) -> std::uint64_t {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", flag);
-        std::exit(1);
-      }
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "%s expects an unsigned integer, got '%s'\n", flag, argv[i]);
-        std::exit(1);
-      }
-      return value;
-    };
     if (std::strcmp(argv[i], "--daemon") == 0) {
       daemon_mode = true;
     } else if (std::strcmp(argv[i], "--check") == 0) {
@@ -1035,23 +672,21 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
       chaos = true;
     } else if (std::strcmp(argv[i], "--sessions") == 0) {
-      sessions = static_cast<std::size_t>(uint_arg("--sessions"));
-      if (sessions < 8) sessions = 8;
+      sessions = std::max<std::size_t>(8, uint_flag(argc, argv, i));
     } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-      fault_seed = uint_arg("--fault-seed");
-      have_fault_seed = true;
+      daemon_args.fault_seed = uint_flag(argc, argv, i);
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      store_dir = argv[++i];
+      daemon_args.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
       daemon_args.socket = argv[++i];
     } else if (std::strcmp(argv[i], "--shards") == 0) {
-      daemon_args.shards = static_cast<unsigned>(uint_arg("--shards"));
+      daemon_args.shards = static_cast<unsigned>(uint_flag(argc, argv, i));
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      daemon_args.workers = static_cast<unsigned>(uint_arg("--workers"));
+      daemon_args.workers = static_cast<unsigned>(uint_flag(argc, argv, i));
     } else if (std::strcmp(argv[i], "--max-sessions") == 0) {
-      daemon_args.max_sessions = static_cast<std::size_t>(uint_arg("--max-sessions"));
+      daemon_args.max_sessions = uint_flag(argc, argv, i);
     } else if (std::strcmp(argv[i], "--max-queued") == 0) {
-      daemon_args.max_queued = static_cast<std::size_t>(uint_arg("--max-queued"));
+      daemon_args.max_queued = uint_flag(argc, argv, i);
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --check, --chaos, --sessions N, "
@@ -1061,9 +696,6 @@ int main(int argc, char** argv) {
     }
   }
   if (daemon_mode) {
-    daemon_args.store_dir = store_dir;
-    // --fault-seed on the daemon command line arms the transient injector.
-    if (have_fault_seed) daemon_args.fault_seed = fault_seed;
     if (daemon_args.socket.empty()) {
       std::fprintf(stderr, "--daemon requires --socket PATH\n");
       return 1;
@@ -1072,9 +704,11 @@ int main(int argc, char** argv) {
   }
 
   namespace fs = std::filesystem;
+  const std::uint64_t fault_seed = daemon_args.fault_seed.value_or(1);
   const std::string chaos_store =
-      store_dir.empty() ? common::format("warpd_load_store_%d", static_cast<int>(::getpid()))
-                        : store_dir;
+      daemon_args.store_dir.empty()
+          ? common::format("warpd_load_store_%d", static_cast<int>(::getpid()))
+          : daemon_args.store_dir;
 
   if (check) sessions = std::min<std::size_t>(sessions, 24);
   std::printf("warpd_load%s: 3-kernel mix, open-loop, %zu sessions per run\n",
