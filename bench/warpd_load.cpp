@@ -76,8 +76,9 @@ using Clock = std::chrono::steady_clock;
 // Three distinct cheap kernels (small max_candidates keeps the CAD flow
 // short on a small host), repeated heavily — repeats are what admission
 // queues, coalescing merges and the warm store serves. Each key appears on
-// two *adjacent* ids so that with >= 2 workers the second claim reliably
-// finds the first still in flight and coalesces onto it.
+// two *adjacent* ids, which run_incarnation sends back-to-back on one
+// connection, so that with >= 2 workers the second claim finds the first
+// still in flight and coalesces onto it.
 Request make_load_request(std::uint64_t id) {
   static const char* kNames[] = {"brev", "crc", "fir"};
   Request request;
@@ -113,7 +114,8 @@ struct Incarnation {
 };
 
 // One daemon incarnation: stream `ids` open-loop at `rate_per_s` across
-// `connections` client connections (round-robin), retry "busy" replies on
+// `connections` client connections (round-robin by pair: ids[2j] and
+// ids[2j + 1] share a due time and a connection), retry "busy" replies on
 // their hints, and return once every assigned id is terminal — or once the
 // daemon dies (chaos). If kill_after_ok > 0, SIGKILL the daemon after that
 // many ok replies have landed across all connections. `jitter_seed` feeds
@@ -148,10 +150,13 @@ void run_incarnation(const std::string& socket_path, const std::vector<Request>&
     }
   }
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    auto& conn = *conns[i % connections];
-    const auto due = start + std::chrono::microseconds(
-                                 static_cast<std::int64_t>(1e6 * static_cast<double>(i) /
-                                                           rate_per_s));
+    // A pair leaves back-to-back on one connection: its second line reaches
+    // the daemon right behind the first, not behind another connection's
+    // traffic, so the overlap that coalescing needs does not hang on timing.
+    const std::size_t pair = i / 2;
+    auto& conn = *conns[pair % connections];
+    const auto due = start + std::chrono::microseconds(static_cast<std::int64_t>(
+                                 1e6 * static_cast<double>(2 * pair) / rate_per_s));
     conn.pending.emplace_back(due, ids[i]);
     ++conn.open;
   }

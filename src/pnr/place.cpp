@@ -13,17 +13,6 @@ using fabric::LutSite;
 using techmap::LutNetlist;
 using techmap::NetRef;
 
-// A net endpoint: either a movable LUT or a fixed pad position.
-struct Endpoint {
-  int lut = -1;  // >= 0: movable
-  int fixed_x = 0;
-  int fixed_y = 0;
-};
-
-struct Net {
-  std::vector<Endpoint> endpoints;
-};
-
 // Maintained bounding box of one net (the VPR scheme): the four extremes
 // plus how many endpoints sit on each extreme. The counts make most moves
 // O(1): an endpoint leaving an extreme with count > 1 just decrements, and
@@ -35,66 +24,112 @@ struct NetBox {
   double hpwl() const { return static_cast<double>((max_x - min_x) + (max_y - min_y)); }
 };
 
+struct Pos {
+  int x;
+  int y;
+};
+
+// One net of a LUT, with how many of the net's endpoints are that LUT.
+struct NetUse {
+  int net;
+  int mult;
+};
+
+LutSite site_of_slot(const FabricGeometry& g, int slot) {
+  const unsigned per_col = g.height * g.luts_per_clb;
+  LutSite site;
+  site.x = static_cast<int>(static_cast<unsigned>(slot) / per_col);
+  const unsigned rem = static_cast<unsigned>(slot) % per_col;
+  site.y = static_cast<int>(rem / g.luts_per_clb);
+  site.slot = rem % g.luts_per_clb;
+  return site;
+}
+
+constexpr int kPad = -1;    // Endpoint::lut of a fixed pad
+constexpr int kNoLut = -2;  // Move::other when the target slot is free
+
+// A net endpoint as the move loop reads it: the LUT it belongs to (kPad for
+// a fixed pad) and where it sits now.
+struct Endpoint {
+  int lut;
+  Pos at;
+};
+
+// A proposed move: `lut` goes from slot `from` to slot `to`, and the LUT
+// in `to` (`other`, or kNoLut) goes the other way.
+struct Move {
+  int lut;
+  int other;
+  int from;
+  int to;
+  Pos lut_to;
+  Pos other_to;
+
+  Pos after(const Endpoint& e) const {
+    return e.lut == lut ? lut_to : e.lut == other ? other_to : e.at;
+  }
+  Move reversed() const { return {lut, other, to, from, other_to, lut_to}; }
+};
+
+Pos now(const Endpoint& e) { return e.at; }
+
+// Nets at or below this endpoint count skip the box machinery entirely: a
+// direct two-scan delta is as cheap as the O(1) update for a handful of
+// endpoints, and it sidesteps the count scheme's degenerate case (every
+// endpoint of a 2-pin net is a unique extreme, so almost every move would
+// force a rescan anyway).
+constexpr std::size_t kSmallNetEndpoints = 8;
+
+// Annealer state, flat for the move loop. Every net's endpoints sit
+// together in `ends` with their current coordinates, and each LUT knows its
+// nets and its endpoint entries, so a move reads contiguous memory. Most
+// moves are rejected, and a rejected move writes nothing but the boxes it
+// restores: a move's delta is read from the endpoints as they will be
+// (Move::after), and only commit() moves anything.
 struct PlacerState {
-  const LutNetlist& netlist;
-  const FabricGeometry& geometry;
-  std::vector<Net> nets;
-  std::vector<std::vector<int>> nets_of_lut;  // lut -> net indices (deduped)
-  std::vector<std::vector<std::pair<int, int>>> nets_of_lut_mult;  // (net, multiplicity)
-  std::vector<int> lut_slot;                  // lut -> slot index
-  std::vector<int> slot_lut;                  // slot -> lut (-1 free)
-  std::vector<int> lut_x, lut_y;              // cached site coords per lut
+  std::vector<Endpoint> ends;
+  std::vector<std::uint32_t> net_begin;     // net n: ends[net_begin[n], net_begin[n + 1])
+  std::vector<std::uint32_t> lut_begin;     // LUT i: lut_nets[lut_begin[i], lut_begin[i + 1])
+  std::vector<NetUse> lut_nets;             // ascending net per LUT
+  std::vector<std::uint32_t> lut_end_begin; // LUT i: lut_ends[lut_end_begin[i], ...[i + 1])
+  std::vector<std::uint32_t> lut_ends;      // indices into ends
+  std::vector<int> lut_slot;                // lut -> slot index
+  std::vector<int> slot_lut;                // slot -> lut (-1 free)
+  std::vector<Pos> slot_pos;                // slot -> site coords
   std::vector<NetBox> boxes;
-  std::vector<LutSite> input_pads;
-  std::vector<LutSite> output_pads;
 
-  explicit PlacerState(const LutNetlist& nl, const FabricGeometry& g)
-      : netlist(nl), geometry(g) {}
-
-  unsigned slot_count() const {
-    return geometry.width * geometry.height * geometry.luts_per_clb;
+  std::size_t net_count() const { return net_begin.size() - 1; }
+  const NetUse* nets_begin(int lut) const {
+    return lut_nets.data() + lut_begin[static_cast<std::size_t>(lut)];
   }
-  LutSite site_of_slot(int slot) const {
-    const unsigned per_col = geometry.height * geometry.luts_per_clb;
-    LutSite site;
-    site.x = static_cast<int>(static_cast<unsigned>(slot) / per_col);
-    const unsigned rem = static_cast<unsigned>(slot) % per_col;
-    site.y = static_cast<int>(rem / geometry.luts_per_clb);
-    site.slot = rem % geometry.luts_per_clb;
-    return site;
+  const NetUse* nets_end(int lut) const {
+    return lut_nets.data() + lut_begin[static_cast<std::size_t>(lut) + 1];
   }
+  // Big nets keep a maintained NetBox.
+  bool boxed(std::size_t n) const { return net_begin[n + 1] - net_begin[n] > kSmallNetEndpoints; }
 
-  void position_of(const Endpoint& ep, int& x, int& y) const {
-    if (ep.lut >= 0) {
-      x = lut_x[static_cast<std::size_t>(ep.lut)];
-      y = lut_y[static_cast<std::size_t>(ep.lut)];
-    } else {
-      x = ep.fixed_x;
-      y = ep.fixed_y;
-    }
-  }
-
-  double net_hpwl(const Net& net) const {
+  // HPWL of net n with each endpoint at at(endpoint).
+  template <typename At>
+  double net_hpwl(std::size_t n, At at) const {
     int min_x = 1 << 30, max_x = -(1 << 30), min_y = 1 << 30, max_y = -(1 << 30);
-    for (const auto& ep : net.endpoints) {
-      int x, y;
-      position_of(ep, x, y);
-      min_x = std::min(min_x, x);
-      max_x = std::max(max_x, x);
-      min_y = std::min(min_y, y);
-      max_y = std::max(max_y, y);
+    for (std::uint32_t k = net_begin[n]; k < net_begin[n + 1]; ++k) {
+      const Pos p = at(ends[k]);
+      min_x = std::min(min_x, p.x);
+      max_x = std::max(max_x, p.x);
+      min_y = std::min(min_y, p.y);
+      max_y = std::max(max_y, p.y);
     }
     return static_cast<double>((max_x - min_x) + (max_y - min_y));
   }
 
-  // Exact bbox + extreme counts from current endpoint positions.
-  NetBox scan_box(const Net& net) const {
+  // Exact bbox + extreme counts with each endpoint at at(endpoint).
+  template <typename At>
+  NetBox scan_box(std::size_t n, At at) const {
     NetBox box;
     box.min_x = box.min_y = 1 << 30;
     box.max_x = box.max_y = -(1 << 30);
-    for (const auto& ep : net.endpoints) {
-      int x, y;
-      position_of(ep, x, y);
+    for (std::uint32_t k = net_begin[n]; k < net_begin[n + 1]; ++k) {
+      const auto [x, y] = at(ends[k]);
       if (x < box.min_x) { box.min_x = x; box.cnt_min_x = 1; }
       else if (x == box.min_x) ++box.cnt_min_x;
       if (x > box.max_x) { box.max_x = x; box.cnt_max_x = 1; }
@@ -107,20 +142,29 @@ struct PlacerState {
     return box;
   }
 
-  void set_lut_slot(int lut, int slot) {
+  Move propose(int lut, int to) const {
+    const int from = lut_slot[static_cast<std::size_t>(lut)];
+    const int other = slot_lut[static_cast<std::size_t>(to)];
+    return {lut, other >= 0 ? other : kNoLut, from, to, slot_pos[static_cast<std::size_t>(to)],
+            slot_pos[static_cast<std::size_t>(from)]};
+  }
+
+  void place_lut(int lut, int slot) {
     lut_slot[static_cast<std::size_t>(lut)] = slot;
-    const LutSite site = site_of_slot(slot);
-    lut_x[static_cast<std::size_t>(lut)] = site.x;
-    lut_y[static_cast<std::size_t>(lut)] = site.y;
+    slot_lut[static_cast<std::size_t>(slot)] = lut;
+    for (std::uint32_t k = lut_end_begin[static_cast<std::size_t>(lut)];
+         k < lut_end_begin[static_cast<std::size_t>(lut) + 1]; ++k) {
+      ends[lut_ends[k]].at = slot_pos[static_cast<std::size_t>(slot)];
+    }
+  }
+
+  void commit(const Move& m) {
+    place_lut(m.lut, m.to);
+    if (m.other >= 0) place_lut(m.other, m.from);
+    else slot_lut[static_cast<std::size_t>(m.from)] = -1;
   }
 };
 
-// Nets at or below this endpoint count skip the box machinery entirely: a
-// direct two-scan delta is as cheap as the O(1) update for a handful of
-// endpoints, and it sidesteps the count scheme's degenerate case (every
-// endpoint of a 2-pin net is a unique extreme, so almost every move would
-// force a rescan anyway).
-constexpr std::size_t kSmallNetEndpoints = 8;
 
 // One axis of the incremental update: an endpoint moved from `from` to `to`.
 // Returns false when the box must be rescanned (shrink off a unique extreme).
@@ -169,37 +213,38 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
         "design needs %zu LUTs, fabric has %u", netlist.luts.size(), geometry.lut_capacity()));
   }
 
-  PlacerState st(netlist, geometry);
+  PlacerState st;
   const std::size_t num_luts = netlist.luts.size();
 
   // Pads.
+  std::vector<LutSite> input_pads;
+  std::vector<LutSite> output_pads;
   for (std::size_t i = 0; i < netlist.primary_inputs.size(); ++i) {
-    st.input_pads.push_back(input_pad_site(i, netlist.primary_inputs.size(), geometry));
+    input_pads.push_back(input_pad_site(i, netlist.primary_inputs.size(), geometry));
   }
   for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
-    st.output_pads.push_back(output_pad_site(i, netlist.outputs.size(), geometry));
+    output_pads.push_back(output_pad_site(i, netlist.outputs.size(), geometry));
   }
+  auto pad = [](const LutSite& site) { return Endpoint{kPad, {site.x, site.y}}; };
 
   // Nets: one per driver (LUT or primary input) with its sinks.
+  std::vector<std::vector<Endpoint>> nets;
   std::vector<int> net_of_lut_driver(num_luts, -1);
   std::vector<int> net_of_pi_driver(netlist.primary_inputs.size(), -1);
   auto net_for_driver = [&](const NetRef& ref) -> int {
     if (ref.kind == NetRef::Kind::kLut) {
       int& id = net_of_lut_driver[static_cast<std::size_t>(ref.index)];
       if (id < 0) {
-        id = static_cast<int>(st.nets.size());
-        st.nets.emplace_back();
-        st.nets.back().endpoints.push_back({ref.index, 0, 0});
+        id = static_cast<int>(nets.size());
+        nets.push_back({Endpoint{ref.index, {}}});
       }
       return id;
     }
     if (ref.kind == NetRef::Kind::kPrimaryInput) {
       int& id = net_of_pi_driver[static_cast<std::size_t>(ref.index)];
       if (id < 0) {
-        id = static_cast<int>(st.nets.size());
-        st.nets.emplace_back();
-        const LutSite pad = st.input_pads[static_cast<std::size_t>(ref.index)];
-        st.nets.back().endpoints.push_back({-1, pad.x, pad.y});
+        id = static_cast<int>(nets.size());
+        nets.push_back({pad(input_pads[static_cast<std::size_t>(ref.index)])});
       }
       return id;
     }
@@ -209,55 +254,60 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
   for (std::size_t i = 0; i < num_luts; ++i) {
     for (unsigned k = 0; k < netlist.luts[i].num_inputs; ++k) {
       const int net = net_for_driver(netlist.luts[i].inputs[k]);
-      if (net >= 0) st.nets[static_cast<std::size_t>(net)].endpoints.push_back(
-          {static_cast<int>(i), 0, 0});
+      if (net >= 0) nets[static_cast<std::size_t>(net)].push_back({static_cast<int>(i), {}});
     }
   }
   for (std::size_t o = 0; o < netlist.outputs.size(); ++o) {
     const int net = net_for_driver(netlist.outputs[o].source);
-    if (net >= 0) {
-      const LutSite pad = st.output_pads[o];
-      st.nets[static_cast<std::size_t>(net)].endpoints.push_back({-1, pad.x, pad.y});
-    }
+    if (net >= 0) nets[static_cast<std::size_t>(net)].push_back(pad(output_pads[o]));
   }
 
-  st.nets_of_lut.assign(num_luts, {});
-  for (std::size_t n = 0; n < st.nets.size(); ++n) {
-    for (const auto& ep : st.nets[n].endpoints) {
-      if (ep.lut >= 0) st.nets_of_lut[static_cast<std::size_t>(ep.lut)].push_back(
-          static_cast<int>(n));
+  // Flatten the nets, then index each LUT's nets (ascending, since nets are
+  // visited in order, with multiplicity) and endpoint entries.
+  std::vector<std::vector<NetUse>> uses(num_luts);
+  std::vector<std::vector<std::uint32_t>> entries(num_luts);
+  st.net_begin.push_back(0);
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    for (const Endpoint& e : nets[n]) {
+      if (e.lut >= 0) {
+        auto& list = uses[static_cast<std::size_t>(e.lut)];
+        if (!list.empty() && list.back().net == static_cast<int>(n)) ++list.back().mult;
+        else list.push_back({static_cast<int>(n), 1});
+        entries[static_cast<std::size_t>(e.lut)].push_back(
+            static_cast<std::uint32_t>(st.ends.size()));
+      }
+      st.ends.push_back(e);
     }
+    st.net_begin.push_back(static_cast<std::uint32_t>(st.ends.size()));
   }
-  st.nets_of_lut_mult.assign(num_luts, {});
+  st.lut_begin.push_back(0);
+  st.lut_end_begin.push_back(0);
   for (std::size_t i = 0; i < num_luts; ++i) {
-    auto& list = st.nets_of_lut[i];
-    std::sort(list.begin(), list.end());
-    for (int n : list) {
-      auto& with_mult = st.nets_of_lut_mult[i];
-      if (!with_mult.empty() && with_mult.back().first == n) ++with_mult.back().second;
-      else with_mult.emplace_back(n, 1);
-    }
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+    st.lut_nets.insert(st.lut_nets.end(), uses[i].begin(), uses[i].end());
+    st.lut_begin.push_back(static_cast<std::uint32_t>(st.lut_nets.size()));
+    st.lut_ends.insert(st.lut_ends.end(), entries[i].begin(), entries[i].end());
+    st.lut_end_begin.push_back(static_cast<std::uint32_t>(st.lut_ends.size()));
   }
 
   // Constructive seed: LUTs in topological (id) order, column-major sweep
   // from the input edge — drivers end up left of their sinks.
+  const std::size_t slots = geometry.lut_capacity();
+  st.slot_pos.resize(slots);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const LutSite site = site_of_slot(geometry, static_cast<int>(slot));
+    st.slot_pos[slot] = {site.x, site.y};
+  }
   st.lut_slot.assign(num_luts, -1);
-  st.slot_lut.assign(st.slot_count(), -1);
-  st.lut_x.assign(num_luts, 0);
-  st.lut_y.assign(num_luts, 0);
+  st.slot_lut.assign(slots, -1);
   for (std::size_t i = 0; i < num_luts; ++i) {
-    st.set_lut_slot(static_cast<int>(i), static_cast<int>(i));
-    st.slot_lut[i] = static_cast<int>(i);
+    st.place_lut(static_cast<int>(i), static_cast<int>(i));
   }
 
   double cost = 0.0;
-  st.boxes.resize(st.nets.size());
-  for (std::size_t n = 0; n < st.nets.size(); ++n) {
-    if (st.nets[n].endpoints.size() > kSmallNetEndpoints) {
-      st.boxes[n] = st.scan_box(st.nets[n]);
-    }
-    cost += st.net_hpwl(st.nets[n]);
+  st.boxes.resize(st.net_count());
+  for (std::size_t n = 0; n < st.net_count(); ++n) {
+    if (st.boxed(n)) st.boxes[n] = st.scan_box(n, now);
+    cost += st.net_hpwl(n, now);
   }
 
   // Simulated annealing.
@@ -267,20 +317,25 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
       static_cast<std::uint64_t>(options.moves_per_lut) * std::max<std::size_t>(num_luts, 1);
   double temperature = options.initial_temperature;
   const std::uint64_t moves_per_stage = std::max<std::uint64_t>(total_moves / 40, 1);
+  // Cooling follows every moves_per_stage-th draw, skipped draws included.
+  std::uint64_t stage_left = moves_per_stage;
 
-  // Scratch for incremental moves, reused across the annealing loop. The
-  // stamp arrays give O(1) "seen this move?" checks without clearing.
+  // Scratch for moves, reused across the annealing loop. The stamp arrays
+  // give O(1) "seen this move?" checks without clearing.
+  std::vector<int> affected;                        // exact-rescan baseline
   std::vector<std::pair<int, NetBox>> saved_boxes;  // big-net undo log for one move
   std::vector<int> affected_small;                  // small nets touched this move
-  std::vector<std::uint64_t> net_saved_stamp(st.nets.size(), 0);
-  std::vector<std::uint64_t> net_done_stamp(st.nets.size(), 0);  // rescanned early
+  std::vector<std::uint64_t> net_saved_stamp(st.net_count(), 0);
+  std::vector<std::uint64_t> net_done_stamp(st.net_count(), 0);  // rescanned early
 
   for (std::uint64_t move = 0; move < total_moves && num_luts > 0; ++move) {
+    const bool stage_end = --stage_left == 0;
+    if (stage_end) stage_left = moves_per_stage;
     const int lut = static_cast<int>(rng.below(static_cast<std::uint32_t>(num_luts)));
-    const int new_slot = static_cast<int>(rng.below(st.slot_count()));
-    const int old_slot = st.lut_slot[static_cast<std::size_t>(lut)];
-    if (new_slot == old_slot) continue;
-    const int other = st.slot_lut[static_cast<std::size_t>(new_slot)];
+    const int new_slot = static_cast<int>(rng.below(static_cast<std::uint32_t>(slots)));
+    if (new_slot == st.lut_slot[static_cast<std::size_t>(lut)]) continue;
+    const Move m = st.propose(lut, new_slot);
+    const auto after_move = [&m](const Endpoint& e) { return m.after(e); };
 
     double delta = 0.0;
     ++result.moves;
@@ -288,22 +343,24 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
     if (!options.incremental) {
       // Exact-rescan baseline: recompute each affected net's HPWL from its
       // endpoints before and after the move.
-      std::vector<int> affected = st.nets_of_lut[static_cast<std::size_t>(lut)];
-      if (other >= 0) {
-        for (int n : st.nets_of_lut[static_cast<std::size_t>(other)]) affected.push_back(n);
+      affected.clear();
+      for (const NetUse* u = st.nets_begin(lut); u != st.nets_end(lut); ++u) {
+        affected.push_back(u->net);
+      }
+      if (m.other >= 0) {
+        for (const NetUse* u = st.nets_begin(m.other); u != st.nets_end(m.other); ++u) {
+          affected.push_back(u->net);
+        }
         std::sort(affected.begin(), affected.end());
         affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
       }
       double before = 0.0;
-      for (int n : affected) before += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
+      for (int n : affected) before += st.net_hpwl(static_cast<std::size_t>(n), now);
 
-      st.set_lut_slot(lut, new_slot);
-      st.slot_lut[static_cast<std::size_t>(new_slot)] = lut;
-      st.slot_lut[static_cast<std::size_t>(old_slot)] = other;
-      if (other >= 0) st.set_lut_slot(other, old_slot);
+      st.commit(m);
 
       double after = 0.0;
-      for (int n : affected) after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
+      for (int n : affected) after += st.net_hpwl(static_cast<std::size_t>(n), now);
       delta = after - before;
 
       const bool accept = delta <= 0.0 || rng.chance(std::exp(-delta / temperature));
@@ -311,98 +368,65 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
         cost += delta;
         ++result.accepted_moves;
       } else {
-        st.set_lut_slot(lut, old_slot);
-        st.slot_lut[static_cast<std::size_t>(old_slot)] = lut;
-        st.slot_lut[static_cast<std::size_t>(new_slot)] = other;
-        if (other >= 0) st.set_lut_slot(other, new_slot);
+        st.commit(m.reversed());
       }
-      if (move % moves_per_stage == moves_per_stage - 1) temperature *= options.cooling;
+      if (stage_end) temperature *= options.cooling;
       continue;
     }
 
     // Incremental path. Small nets (the overwhelming majority) get a direct
     // two-scan delta — for a handful of endpoints that is as cheap as any
     // bookkeeping — while big nets use the maintained bounding boxes with
-    // O(1) updates. The before-sums are gathered first (old positions), then
-    // the move is applied, then boxes are updated and the after-sums read.
-    const int ax0 = st.lut_x[static_cast<std::size_t>(lut)];
-    const int ay0 = st.lut_y[static_cast<std::size_t>(lut)];
-    int bx0 = 0, by0 = 0;
-    if (other >= 0) {
-      bx0 = st.lut_x[static_cast<std::size_t>(other)];
-      by0 = st.lut_y[static_cast<std::size_t>(other)];
-    }
-
+    // O(1) updates. Both read the endpoints as the move would leave them,
+    // so nothing moves until the move is accepted.
     const std::uint64_t stamp = result.moves;
     double before = 0.0;
+    double after = 0.0;
     saved_boxes.clear();
     affected_small.clear();
-    auto gather = [&](int n) {
-      const std::size_t nn = static_cast<std::size_t>(n);
-      if (net_saved_stamp[nn] == stamp) return;
-      net_saved_stamp[nn] = stamp;
-      ++result.delta_evaluations;
-      if (st.nets[nn].endpoints.size() <= kSmallNetEndpoints) {
-        affected_small.push_back(n);
-        before += st.net_hpwl(st.nets[nn]);
-      } else {
-        saved_boxes.emplace_back(n, st.boxes[nn]);
-        before += st.boxes[nn].hpwl();
+    auto gather = [&](int lut_moved) {
+      for (const NetUse* u = st.nets_begin(lut_moved); u != st.nets_end(lut_moved); ++u) {
+        const std::size_t nn = static_cast<std::size_t>(u->net);
+        if (net_saved_stamp[nn] == stamp) continue;
+        net_saved_stamp[nn] = stamp;
+        ++result.delta_evaluations;
+        if (!st.boxed(nn)) {
+          affected_small.push_back(u->net);
+          before += st.net_hpwl(nn, now);
+          after += st.net_hpwl(nn, after_move);
+        } else {
+          saved_boxes.emplace_back(u->net, st.boxes[nn]);
+          before += st.boxes[nn].hpwl();
+        }
       }
     };
-    for (const auto& [n, mult] : st.nets_of_lut_mult[static_cast<std::size_t>(lut)]) {
-      gather(n);
-    }
-    if (other >= 0) {
-      for (const auto& [n, mult] : st.nets_of_lut_mult[static_cast<std::size_t>(other)]) {
-        gather(n);
-      }
-    }
+    gather(lut);
+    if (m.other >= 0) gather(m.other);
 
-    st.set_lut_slot(lut, new_slot);
-    st.slot_lut[static_cast<std::size_t>(new_slot)] = lut;
-    st.slot_lut[static_cast<std::size_t>(old_slot)] = other;
-    if (other >= 0) st.set_lut_slot(other, old_slot);
-    const int ax1 = st.lut_x[static_cast<std::size_t>(lut)];
-    const int ay1 = st.lut_y[static_cast<std::size_t>(lut)];
-
-    // Push the moved endpoints through the big nets' boxes. Positions are
-    // already final, so a shrink-forced rescan is exact at any point; a
+    // Push the moved endpoints through the big nets' boxes. A shrink-forced
+    // rescan reads the final positions, so it is exact at any point; a
     // rescanned net is marked done and later endpoint moves (the second LUT
     // of a swap sharing the net) must be skipped.
-    auto update_net = [&](int n, int fx, int fy, int tx, int ty, int mult) {
-      NetBox& box = st.boxes[static_cast<std::size_t>(n)];
-      for (int m = 0; m < mult; ++m) {
-        if (!move_axis(fx, tx, box.min_x, box.max_x, box.cnt_min_x, box.cnt_max_x) ||
-            !move_axis(fy, ty, box.min_y, box.max_y, box.cnt_min_y, box.cnt_max_y)) {
-          box = st.scan_box(st.nets[static_cast<std::size_t>(n)]);
-          ++result.bbox_rescans;
-          return false;  // net done, skip its remaining endpoint moves
-        }
-      }
-      return true;
-    };
-    if (!saved_boxes.empty()) {
-      for (const auto& [n, mult] : st.nets_of_lut_mult[static_cast<std::size_t>(lut)]) {
-        const std::size_t nn = static_cast<std::size_t>(n);
-        if (st.nets[nn].endpoints.size() <= kSmallNetEndpoints) continue;
-        if (net_done_stamp[nn] != stamp && !update_net(n, ax0, ay0, ax1, ay1, mult)) {
-          net_done_stamp[nn] = stamp;
-        }
-      }
-      if (other >= 0) {
-        for (const auto& [n, mult] : st.nets_of_lut_mult[static_cast<std::size_t>(other)]) {
-          const std::size_t nn = static_cast<std::size_t>(n);
-          if (st.nets[nn].endpoints.size() <= kSmallNetEndpoints) continue;
-          if (net_done_stamp[nn] != stamp && !update_net(n, bx0, by0, ax0, ay0, mult)) {
-            net_done_stamp[nn] = stamp;
+    auto update_nets = [&](int lut_moved, Pos from, Pos to) {
+      for (const NetUse* u = st.nets_begin(lut_moved); u != st.nets_end(lut_moved); ++u) {
+        const std::size_t nn = static_cast<std::size_t>(u->net);
+        if (!st.boxed(nn) || net_done_stamp[nn] == stamp) continue;
+        NetBox& box = st.boxes[nn];
+        for (int k = 0; k < u->mult; ++k) {
+          if (!move_axis(from.x, to.x, box.min_x, box.max_x, box.cnt_min_x, box.cnt_max_x) ||
+              !move_axis(from.y, to.y, box.min_y, box.max_y, box.cnt_min_y, box.cnt_max_y)) {
+            box = st.scan_box(nn, after_move);
+            ++result.bbox_rescans;
+            net_done_stamp[nn] = stamp;  // skip its remaining endpoint moves
+            break;
           }
         }
       }
+    };
+    if (!saved_boxes.empty()) {
+      update_nets(lut, m.other_to, m.lut_to);
+      if (m.other >= 0) update_nets(m.other, m.lut_to, m.other_to);
     }
-
-    double after = 0.0;
-    for (const int n : affected_small) after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
     for (const auto& [n, saved] : saved_boxes) {
       (void)saved;
       after += st.boxes[static_cast<std::size_t>(n)].hpwl();
@@ -410,12 +434,13 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
     delta = after - before;
 
     if (options.verify_incremental) {
-      // Exact cross-check: every big net's maintained box must equal a fresh
-      // endpoint scan, and the summed delta must match an exact rescan of
-      // all affected nets (all quantities are integer-valued, so equality
-      // is exact).
+      // Exact cross-check on the moved placement: every big net's maintained
+      // box must equal a fresh endpoint scan, and the summed delta must
+      // match an exact rescan of all affected nets (all quantities are
+      // integer-valued, so equality is exact).
+      st.commit(m);
       for (const auto& [n, saved] : saved_boxes) {
-        const NetBox fresh = st.scan_box(st.nets[static_cast<std::size_t>(n)]);
+        const NetBox fresh = st.scan_box(static_cast<std::size_t>(n), now);
         const NetBox& kept = st.boxes[static_cast<std::size_t>(n)];
         if (fresh.min_x != kept.min_x || fresh.max_x != kept.max_x ||
             fresh.min_y != kept.min_y || fresh.max_y != kept.max_y ||
@@ -428,43 +453,40 @@ common::Result<PlaceResult> place(const LutNetlist& netlist, const FabricGeometr
       }
       double exact_after = 0.0;
       for (const int n : affected_small) {
-        exact_after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
+        exact_after += st.net_hpwl(static_cast<std::size_t>(n), now);
       }
       for (const auto& [n, saved] : saved_boxes) {
         (void)saved;
-        exact_after += st.net_hpwl(st.nets[static_cast<std::size_t>(n)]);
+        exact_after += st.net_hpwl(static_cast<std::size_t>(n), now);
       }
       if (exact_after - before != delta) {
         return common::Result<PlaceResult>::error(common::format(
             "incremental delta %f != exact %f at move %llu", delta, exact_after - before,
             static_cast<unsigned long long>(result.moves)));
       }
+      st.commit(m.reversed());
     }
 
     const bool accept = delta <= 0.0 || rng.chance(std::exp(-delta / temperature));
     if (accept) {
+      st.commit(m);
       cost += delta;
       ++result.accepted_moves;
     } else {
-      // Revert positions and restore the saved big-net boxes (small nets
-      // carry no maintained state).
-      st.set_lut_slot(lut, old_slot);
-      st.slot_lut[static_cast<std::size_t>(old_slot)] = lut;
-      st.slot_lut[static_cast<std::size_t>(new_slot)] = other;
-      if (other >= 0) st.set_lut_slot(other, new_slot);
+      // Restore the saved big-net boxes (nothing else moved).
       for (const auto& [n, saved] : saved_boxes) {
         st.boxes[static_cast<std::size_t>(n)] = saved;
       }
     }
-    if (move % moves_per_stage == moves_per_stage - 1) temperature *= options.cooling;
+    if (stage_end) temperature *= options.cooling;
   }
 
   result.placement.resize(num_luts);
   for (std::size_t i = 0; i < num_luts; ++i) {
-    result.placement[i] = st.site_of_slot(st.lut_slot[i]);
+    result.placement[i] = site_of_slot(geometry, st.lut_slot[i]);
   }
-  result.input_pads = st.input_pads;
-  result.output_pads = st.output_pads;
+  result.input_pads = std::move(input_pads);
+  result.output_pads = std::move(output_pads);
   result.hpwl = cost;
   return result;
 }

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <map>
 #include <queue>
@@ -51,15 +50,15 @@ struct NetToRoute {
 // (better Steiner-ish trees, and a deterministic routing order).
 std::vector<NetToRoute> build_nets(const LutNetlist& netlist, const PlaceResult& placement) {
   std::vector<NetToRoute> nets;
-  std::map<std::pair<int, int>, int> net_of_driver;  // (kind, index) -> net
+  std::vector<int> net_of_lut(netlist.luts.size(), -1);
+  std::vector<int> net_of_input(netlist.primary_inputs.size(), -1);
   auto net_for = [&](const NetRef& ref) -> int {
     if (ref.kind == NetRef::Kind::kConst0 || ref.kind == NetRef::Kind::kConst1) return -1;
-    const int kind = (ref.kind == NetRef::Kind::kLut) ? 0 : 1;
-    const auto key = std::make_pair(kind, ref.index);
-    const auto it = net_of_driver.find(key);
-    if (it != net_of_driver.end()) return it->second;
+    const bool lut = ref.kind == NetRef::Kind::kLut;
+    int& id = (lut ? net_of_lut : net_of_input)[static_cast<std::size_t>(ref.index)];
+    if (id >= 0) return id;
     NetToRoute net;
-    if (kind == 0) {
+    if (lut) {
       net.driver_lut = ref.index;
       const LutSite site = placement.placement[static_cast<std::size_t>(ref.index)];
       net.source = {site.x, site.y};
@@ -68,9 +67,8 @@ std::vector<NetToRoute> build_nets(const LutNetlist& netlist, const PlaceResult&
       const LutSite site = placement.input_pads[static_cast<std::size_t>(ref.index)];
       net.source = {site.x, site.y};
     }
-    const int id = static_cast<int>(nets.size());
+    id = static_cast<int>(nets.size());
     nets.push_back(std::move(net));
-    net_of_driver.emplace(key, id);
     return id;
   };
 
@@ -301,17 +299,9 @@ class SelectiveRouter {
     step_.assign(cells, 0.0);
     cell_x_.resize(cells);
     cell_y_.resize(cells);
-    neighbours_.resize(cells);
-    const int dx[4] = {1, -1, 0, 0};
-    const int dy[4] = {0, 0, 1, -1};
     for (std::size_t c = 0; c < cells; ++c) {
-      const int x = static_cast<int>(c) / grid.rows() - 1;
-      const int y = static_cast<int>(c) % grid.rows();
-      cell_x_[c] = x;
-      cell_y_[c] = y;
-      for (int d = 0; d < 4; ++d) {
-        neighbours_[c][d] = grid.valid(x + dx[d], y + dy[d]) ? grid.id(x + dx[d], y + dy[d]) : -1;
-      }
+      cell_x_[c] = static_cast<int>(c) / grid.rows() - 1;
+      cell_y_[c] = static_cast<int>(c) % grid.rows();
     }
     overused_cell_.assign(cells, 0);
     best_cost_.assign(cells, 0.0);
@@ -467,66 +457,72 @@ class SelectiveRouter {
       tree_hop_at_[static_cast<std::size_t>(tree_cells_[n][i])] = tree_hops_[n][i];
     }
 
+    // Cell ids run column-major, so the +x, -x, +y, -y neighbours of a cell
+    // are id + rows, id - rows, id + 1 and id - 1.
+    const int rows = grid_.rows();
+    const int max_x = static_cast<int>(geometry_.width);
     for (const std::size_t si : sink_indices) {
       const auto& sink = net.sinks[si];
-      const int goal = grid_.id(sink.cell.first, sink.cell.second);
-      auto heuristic = [&](int cell) {
-        const std::size_t ci = static_cast<std::size_t>(cell);
-        return static_cast<double>(std::abs(cell_x_[ci] - sink.cell.first) +
-                                   std::abs(cell_y_[ci] - sink.cell.second));
-      };
+      const int gx = sink.cell.first;
+      const int gy = sink.cell.second;
+      const int goal = grid_.id(gx, gy);
       ++astar_epoch_;
-      auto relax = [&](int cell, double cost, int par) {
-        const std::size_t ci = static_cast<std::size_t>(cell);
-        if (visit_epoch_[ci] == astar_epoch_ && cost + 1e-9 >= best_cost_[ci]) return false;
-        visit_epoch_[ci] = astar_epoch_;
-        best_cost_[ci] = cost;
-        parent_[ci] = par;
-        return true;
-      };
       // The queue rejects a repeated identical (f, cell), which a heap would
-      // pop twice. A* never pushes one: a cell is pushed again only after
-      // relax() lowered its cost by more than 1e-9, and h(cell) is fixed, so
-      // the new f is lower by more than 1e-9 as well. That is far above one
-      // ulp of f (about 1.4e-14 near f = 100); an ulp exceeds 1e-9 only
-      // for f >= 2^23, which no route cost comes near.
+      // pop twice. A* never pushes one: a cell is pushed again only after its
+      // cost fell by more than 1e-9, and h(cell) is fixed, so the new f is
+      // lower by more than 1e-9 as well. That is far above one ulp of f
+      // (about 1.4e-14 near f = 100); an ulp exceeds 1e-9 only for
+      // f >= 2^23, which no route cost comes near.
+      auto relax = [&](int next, double cost, int par, int h) {
+        const std::size_t ni = static_cast<std::size_t>(next);
+        const double ncost = cost + step_[ni];
+        if (visit_epoch_[ni] == astar_epoch_ && ncost + 1e-9 >= best_cost_[ni]) return;
+        visit_epoch_[ni] = astar_epoch_;
+        best_cost_[ni] = ncost;
+        parent_[ni] = par;
+        queue_.push(ncost + static_cast<double>(h), next);
+      };
       queue_.clear();
       for (const int cell : tree_cells_[n]) {
-        relax(cell, 0.0, -1);
-        queue_.push(heuristic(cell), cell);
+        const std::size_t ci = static_cast<std::size_t>(cell);
+        visit_epoch_[ci] = astar_epoch_;
+        best_cost_[ci] = 0.0;
+        parent_[ci] = -1;
+        queue_.push(static_cast<double>(std::abs(cell_x_[ci] - gx) + std::abs(cell_y_[ci] - gy)),
+                    cell);
       }
       int found = -1;
       while (!queue_.empty()) {
         const auto [prio, cell] = queue_.pop();
-        const double cost = prio - heuristic(cell);
-        if (cost > best_cost_[static_cast<std::size_t>(cell)] + 1e-9) continue;
+        const std::size_t ci = static_cast<std::size_t>(cell);
+        const int x = cell_x_[ci];
+        const int y = cell_y_[ci];
+        const int hx = std::abs(x - gx);
+        const int hy = std::abs(y - gy);
+        const double cost = prio - static_cast<double>(hx + hy);
+        if (cost > best_cost_[ci] + 1e-9) continue;
         ++result_.expansions;
         if (cell == goal) {
           found = cell;
           break;
         }
-        for (const int next : neighbours_[static_cast<std::size_t>(cell)]) {
-          if (next < 0) continue;
-          const double step = step_[static_cast<std::size_t>(next)];
-          if (relax(next, cost + step, cell)) {
-            queue_.push(cost + step + heuristic(next), next);
-          }
-        }
+        if (x < max_x) relax(cell + rows, cost, cell, std::abs(x + 1 - gx) + hy);
+        if (x >= 0) relax(cell - rows, cost, cell, std::abs(x - 1 - gx) + hy);
+        if (y + 1 < rows) relax(cell + 1, cost, cell, hx + std::abs(y + 1 - gy));
+        if (y > 0) relax(cell - 1, cost, cell, hx + std::abs(y - 1 - gy));
       }
       auto& path = paths_[n][si];
       path.clear();
       if (found < 0) continue;  // unreachable; path stays empty
+      // Trace back to the tree; trace_ holds the path sink-first.
       trace_.clear();
-      int cur = found;
-      while (parent_[static_cast<std::size_t>(cur)] != -1) {
+      for (int cur = found; cur != -1; cur = parent_[static_cast<std::size_t>(cur)]) {
         trace_.push_back(cur);
-        cur = parent_[static_cast<std::size_t>(cur)];
       }
-      trace_.push_back(cur);  // tree entry
-      std::reverse(trace_.begin(), trace_.end());
-      const unsigned entry_hops = tree_hop_at_[static_cast<std::size_t>(trace_.front())];
+      const unsigned entry_hops = tree_hop_at_[static_cast<std::size_t>(trace_.back())];
+      path.reserve(trace_.size());
       for (std::size_t i = 0; i < trace_.size(); ++i) {
-        const int cell = trace_[i];
+        const int cell = trace_[trace_.size() - 1 - i];
         const std::size_t ci = static_cast<std::size_t>(cell);
         if (tree_mark_[ci] != tree_epoch_) {
           tree_mark_[ci] = tree_epoch_;
@@ -554,11 +550,9 @@ class SelectiveRouter {
   std::vector<char> overused_cell_;
   double present_weight_ = 0.0;
   std::vector<double> step_;
-  // Grid geometry tables: coordinates and the +x, -x, +y, -y neighbours
-  // (-1 off the grid) of every cell.
+  // Grid coordinates of every cell.
   std::vector<int> cell_x_;
   std::vector<int> cell_y_;
-  std::vector<std::array<int, 4>> neighbours_;
   // Persistent per-net routed trees (parallel cell/hop arrays).
   std::vector<std::vector<int>> tree_cells_;
   std::vector<std::vector<unsigned>> tree_hops_;
@@ -596,18 +590,20 @@ common::Result<RouteResult> route(const LutNetlist& netlist, const FabricGeometr
   }
 
   // Convert to RoutedNet records (even on failure, for diagnostics).
+  result.routes.reserve(nets.size());
   for (std::size_t n = 0; n < nets.size(); ++n) {
     const auto& net = nets[n];
     RoutedNet routed;
     routed.driver_lut = net.driver_lut;
     routed.driver_input = net.driver_input;
+    routed.sinks.reserve(net.sinks.size());
     for (std::size_t si = 0; si < net.sinks.size(); ++si) {
       const auto& sink = net.sinks[si];
       RoutedNet::Sink s;
       s.lut = sink.lut;
       s.output_index = sink.output_index;
       s.input_pin = sink.input_pin;
-      s.path = paths[n][si];
+      s.path = std::move(paths[n][si]);
       result.max_hops = std::max(result.max_hops,
                                  static_cast<unsigned>(s.path.empty() ? 0 : s.path.size() - 1));
       routed.sinks.push_back(std::move(s));

@@ -184,7 +184,6 @@ Warpd::~Warpd() { stop(); }
 void Warpd::submit(const protocol::Request& request, Callback done) {
   std::string err = validate_request(request);
   std::unique_lock lock(mutex_);
-  if (err.empty() && stopping_) err = "server is stopping";
   // Seq checks, without committing: a shed request must not burn a seq slot
   // or lock the stream's seq mode.
   if (err.empty()) {
@@ -202,7 +201,10 @@ void Warpd::submit(const protocol::Request& request, Callback done) {
   }
   std::optional<std::uint64_t> busy;
   if (err.empty()) {
-    if (draining_) {
+    // A stopping engine sheds like a draining one: a request that races
+    // stop() (a socket reader still open behind it) is told to come back
+    // after the restart, never answered with an error.
+    if (draining_ || stopping_) {
       busy = admission_.drain_retry_ms();
     } else if (options_.fault != nullptr && options_.admission.enabled() &&
                options_.fault->probe("serve.admit", common::FaultKind::kIoError)) {

@@ -277,9 +277,11 @@ class Warpd {
   /// explicit-seq stream this waits for the gap; use stop() to force.
   void drain();
 
-  /// Stop admitting, finish every admitted session (collapsing any seq
-  /// gaps, in ascending seq order), deliver their callbacks and join all
-  /// engine threads. Idempotent; the destructor calls it.
+  /// Stop admitting (from here on everything new is shed kBusy with
+  /// drain_retry_ms, as while draining), finish every admitted session
+  /// (collapsing any seq gaps, in ascending seq order), deliver their
+  /// callbacks and join all engine threads. Idempotent; the destructor
+  /// calls it.
   void stop();
 
   WarpdStats stats() const;

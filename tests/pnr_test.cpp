@@ -1,6 +1,7 @@
 // Incremental place & route tests: placement determinism, incremental-vs-
 // exact-rescan HPWL equivalence, selective rip-up routing regressions, the
-// A* bucket queue against the heap it replaced, and pinned router outputs.
+// A* bucket queue against the heap it replaced, and pinned router and
+// placer outputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -316,6 +317,86 @@ TEST(BucketQueue, PopsInHeapOrder) {
   EXPECT_GT(live_clears, 20u);
   EXPECT_GT(ulp_pairs, 10u);
   EXPECT_GT(pops, 10000u);
+
+  // Congestion-shaped streams, as A* makes them once present and history
+  // costs are non-integer: each pop pushes up to four keys at the popped f
+  // plus a sum of fractional steps, summed in varying order so that keys
+  // which would be equal in exact arithmetic differ in their last bits.
+  // Mixed in: long runs of one f over many cells, pushes between the last
+  // pop and the current minimum, pushes below the last pop, and clear()
+  // with a search half done.
+  const double steps[] = {0.05, 0.1, 0.15, 0.25, 0.35, 0.6, 1.0, 1.2, 1.8};
+  std::uint64_t near_unique = 0, run_pushes = 0, under_min = 0, under_pop = 0;
+  std::uint64_t search_clears = 0, congested_pops = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    common::Rng rng(seed * 7919);
+    const int cells = 2640;
+    pnr::BucketQueue queue(cells);
+    Heap heap;
+    std::set<HeapEntry> live;
+    double last_pop = 10.0;
+    auto push = [&](double f, int cell) {
+      if (!live.insert({f, cell}).second) return false;
+      queue.push(f, cell);
+      heap.push({f, cell});
+      return true;
+    };
+    for (int op = 0; op < 4000; ++op) {
+      const unsigned r = rng.below(100);
+      if (r < 45 || heap.empty()) {
+        const int pushes = 1 + static_cast<int>(rng.below(4));
+        for (int k = 0; k < pushes; ++k) {
+          const double a = steps[rng.below(9)];
+          const double b = steps[rng.below(9)];
+          const double c = steps[rng.below(9)];
+          const double f = (rng.below(2) ? (last_pop + a) + (b + c) : ((last_pop + c) + b) + a);
+          const bool above_min = heap.empty() || f > heap.top().first;
+          if (push(f, static_cast<int>(rng.below(cells))) && above_min && f != std::floor(f)) {
+            ++near_unique;
+          }
+        }
+      } else if (r < 50) {
+        const double f = last_pop + static_cast<double>(rng.below(4));
+        const int run = 32 + static_cast<int>(rng.below(160));
+        for (int k = 0; k < run; ++k) run_pushes += push(f, static_cast<int>(rng.below(cells)));
+      } else if (r < 53 && !heap.empty()) {
+        // Between the last pop and the minimum, then below the last pop.
+        const double min = heap.top().first;
+        const double f =
+            r < 52 ? last_pop + 0.5 * (min - last_pop) : last_pop - steps[rng.below(9)];
+        if (push(f, static_cast<int>(rng.below(cells))) && f < min) {
+          ++under_min;
+          if (f < last_pop) ++under_pop;
+        }
+      } else if (r < 99) {
+        if (heap.empty()) continue;
+        const HeapEntry got = queue.pop();
+        ASSERT_EQ(got, heap.top()) << "seed " << seed << " op " << op;
+        heap.pop();
+        live.erase(got);
+        last_pop = got.first;
+        ++congested_pops;
+      } else {
+        if (!heap.empty()) ++search_clears;
+        queue.clear();
+        heap = Heap();
+        live.clear();
+        last_pop = 10.0 + static_cast<double>(rng.below(20));
+      }
+      ASSERT_EQ(queue.empty(), heap.empty());
+    }
+    while (!heap.empty()) {
+      ASSERT_EQ(queue.pop(), heap.top());
+      heap.pop();
+    }
+    EXPECT_TRUE(queue.empty());
+  }
+  EXPECT_GT(near_unique, 10000u);
+  EXPECT_GT(run_pushes, 10000u);
+  EXPECT_GT(under_min, 300u);
+  EXPECT_GT(under_pop, 200u);
+  EXPECT_GT(search_clears, 200u);
+  EXPECT_GT(congested_pops, 15000u);
 }
 
 // A heap pops a repeated identical (f, cell) twice; a bitset would merge
@@ -328,6 +409,8 @@ TEST(BucketQueue, RejectsIdenticalPush) {
   EXPECT_THROW(queue.push(3.0, 7), common::InternalError);
   EXPECT_EQ(queue.pop(), HeapEntry(2.0, 7));
   EXPECT_EQ(queue.pop(), HeapEntry(3.0, 7));
+  // (3.0, 9) now sits at the minimum; a repeat of it is rejected too.
+  EXPECT_THROW(queue.push(3.0, 9), common::InternalError);
   // Once popped, the pair may be pushed again.
   queue.push(3.0, 7);
   EXPECT_EQ(queue.pop(), HeapEntry(3.0, 7));
@@ -407,5 +490,77 @@ TEST(Route, PinnedCountersOnCongestedGrid) {
                    {2094u, 9u, 86u, 22u, 12.35, "050c9a956ca769f5:861814f448e45639"});
 }
 
+
+// ---------------------------------------------------------------------------
+// Pinned placements. The annealer's counters feed content_hash(PnrResult),
+// the bitstream stage's cache key, and its moves are charged as DPM cycles,
+// so any drift in the move loop silently re-keys every stored artifact.
+// These values come from the pre-flattening annealer and must only change on
+// purpose.
+// ---------------------------------------------------------------------------
+struct PlaceSignature {
+  double hpwl = 0.0;
+  std::uint64_t moves = 0;
+  std::uint64_t accepted_moves = 0;
+  std::uint64_t delta_evaluations = 0;
+  std::uint64_t bbox_rescans = 0;
+  std::string site_digest;
+};
+
+PlaceSignature signature(const pnr::PlaceResult& place) {
+  common::Hasher h;
+  for (const auto* sites : {&place.placement, &place.input_pads, &place.output_pads}) {
+    h.u64(sites->size());
+    for (const auto& site : *sites) h.i32(site.x).i32(site.y).u32(site.slot);
+  }
+  return {place.hpwl, place.moves, place.accepted_moves, place.delta_evaluations,
+          place.bbox_rescans, h.finish().to_string()};
+}
+
+void expect_signature(const std::string& name, const pnr::PlaceResult& place,
+                      const PlaceSignature& pinned) {
+  const PlaceSignature got = signature(place);
+  // On a mismatch, print the observed row ready to paste.
+  SCOPED_TRACE(common::format("{\"%s\", {%.17g, %lluu, %lluu, %lluu, %lluu, \"%s\"}}",
+                              name.c_str(), got.hpwl, static_cast<unsigned long long>(got.moves),
+                              static_cast<unsigned long long>(got.accepted_moves),
+                              static_cast<unsigned long long>(got.delta_evaluations),
+                              static_cast<unsigned long long>(got.bbox_rescans),
+                              got.site_digest.c_str()));
+  EXPECT_EQ(got.hpwl, pinned.hpwl);
+  EXPECT_EQ(got.moves, pinned.moves);
+  EXPECT_EQ(got.accepted_moves, pinned.accepted_moves);
+  EXPECT_EQ(got.delta_evaluations, pinned.delta_evaluations);
+  EXPECT_EQ(got.bbox_rescans, pinned.bbox_rescans);
+  EXPECT_EQ(got.site_digest, pinned.site_digest);
+}
+
+TEST(Place, PinnedOnPaperKernels) {
+  const std::vector<std::pair<std::string, PlaceSignature>> pinned = {
+      {"brev", {2720, 0u, 0u, 0u, 0u, "afb3a0aa7cb6ec1b:a0253211518657b0"}},
+      {"g3fax", {628, 0u, 0u, 0u, 0u, "446c51ba19a1e330:17e1f55c75e495c6"}},
+      {"canrdr", {4026, 1464u, 108u, 4202u, 0u, "27b28555933d4603:e35d3ed4f45a6aed"}},
+      {"bitmnp", {2549, 1368u, 27u, 4854u, 0u, "57f1378f8e8e58b1:517f939458b8a2fe"}},
+      {"idct", {80156, 64288u, 656u, 337763u, 169u, "b3ed60e5133ffd04:dfd86e99936e055e"}},
+      {"matmul", {4784, 0u, 0u, 0u, 0u, "66b72ded066a22d5:ac4b061b9c38c2b5"}},
+  };
+  const auto options = experiments::default_options();
+  const fabric::FabricGeometry geometry;  // the DPM's default fabric
+  for (const auto& [name, expected] : pinned) {
+    auto netlist = experiments::partition_netlist(workloads::workload_by_name(name), options);
+    ASSERT_TRUE(netlist.is_ok()) << name << ": " << netlist.message();
+    auto result = pnr::place(netlist.value(), geometry);
+    ASSERT_TRUE(result.is_ok()) << name << ": " << result.message();
+    expect_signature(name, result.value(), expected);
+  }
+}
+
+TEST(Place, PinnedOnCongestedGrid) {
+  const CongestedCase congested = congested_case();
+  auto result = pnr::place(congested.netlist, congested.geometry, congested.options.place);
+  ASSERT_TRUE(result.is_ok()) << result.message();
+  expect_signature("congested", result.value(),
+                   {174, 359u, 67u, 1451u, 0u, "5bf81d729a736422:f5ead41aa815ea03"});
+}
 }  // namespace
 }  // namespace warp

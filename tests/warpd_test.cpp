@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <mutex>
@@ -491,6 +492,67 @@ TEST(Warpd, DeadlineTimeoutsCancelQueuedSessionsOnly) {
   // subsequence's table equals the serial reference over just it.
   const auto reference = entries_of(serve::run_serial(accepted_requests, engine_options(1)));
   EXPECT_TRUE(entries_of(accepted) == reference);
+}
+
+// stop() stops the engine before it shuts the client connections, so a
+// reader can still submit a line in between. Such a request is shed busy
+// ("come back after the restart"), as while draining, never answered err.
+TEST(Warpd, SubmitRacingStopIsShedBusy) {
+  // In-process: a stopped engine sheds like a draining one.
+  {
+    serve::Warpd engine(engine_options(1));
+    engine.stop();
+    SessionOutcome out;
+    engine.submit(make_requests(1, false)[0], [&out](const SessionOutcome& o) { out = o; });
+    EXPECT_EQ(out.status, serve::protocol::ReplyStatus::kBusy) << out.error;
+    EXPECT_EQ(out.retry_after_ms, engine.options().admission.busy_retry_cap_ms);
+  }
+  // Over a socket: one worker runs a slow session while stop() begins, and
+  // the live connection keeps submitting until the server closes it. Every
+  // reply must be ok or busy. A busy reply can only come from a line the
+  // stopping engine shed (admission is uncapped), so rounds repeat until
+  // one lands in that window.
+  bool raced = false;
+  for (int round = 0; round < 5 && !raced; ++round) {
+    serve::SocketServerOptions options;
+    options.path = socket_path(common::format("stoprace%d", round));
+    options.engine = engine_options(1);
+    options.engine.workers = 1;
+    serve::SocketServer server(options);
+    ASSERT_TRUE(server.start());
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.path));
+    Request request;
+    request.workload = "idct";
+    ASSERT_TRUE(client.send_line(serve::protocol::encode_request(request)));
+    while (server.engine().stats().admitted == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::atomic<bool> closed{false};
+    std::vector<std::string> replies;
+    std::thread reader([&] {
+      for (auto line = client.read_line(); line; line = client.read_line()) {
+        replies.push_back(line.value());
+      }
+      closed.store(true);
+    });
+    std::thread stopper([&server] { server.stop(); });
+    request.workload = "brev";
+    for (request.id = 1; !closed.load() && request.id < 2000; ++request.id) {
+      if (!client.send_line(serve::protocol::encode_request(request))) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    stopper.join();
+    reader.join();
+    ASSERT_FALSE(replies.empty());
+    for (const auto& line : replies) {
+      auto reply = serve::protocol::parse_reply(line);
+      ASSERT_TRUE(reply) << line;
+      EXPECT_NE(reply.value().status, serve::protocol::ReplyStatus::kErr) << line;
+      if (reply.value().status == serve::protocol::ReplyStatus::kBusy) raced = true;
+    }
+  }
+  EXPECT_TRUE(raced) << "no round submitted while the engine was stopping";
 }
 
 // Graceful drain over a persistent store, then a supervised restart: the
