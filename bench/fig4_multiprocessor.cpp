@@ -166,7 +166,7 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
   const std::size_t unique = unique_kernel_count(mix);
 
   warpsys::MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   const auto reference = timed_run(mix, serial_off).entries;
 
   bool ok = true;
@@ -197,7 +197,7 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
   // reference *per policy*.
   {
     warpsys::MultiWarpOptions fifo_serial;
-    fifo_serial.parallel = false;
+    fifo_serial.threads = 1;
     fifo_serial.policy = warpsys::DpmQueuePolicy::kFifo;
     const auto fifo_reference = timed_run(mix, fifo_serial).entries;
     partition::ArtifactCache fifo_cache;
@@ -209,13 +209,13 @@ int run_check(const std::string& store_base, std::uint64_t fault_seed) {
   }
   {
     warpsys::MultiWarpOptions prio_serial;
-    prio_serial.parallel = false;
+    prio_serial.threads = 1;
     prio_serial.policy = warpsys::DpmQueuePolicy::kPriority;
     prio_serial.priorities = {0, 7, 3, 1, 9, 2, 5, 4, 8, 6, 11, 10};
     const auto prio_reference = timed_run(mix, prio_serial).entries;
     partition::ArtifactCache prio_cache;
     warpsys::MultiWarpOptions prio_parallel = prio_serial;
-    prio_parallel.parallel = true;
+    prio_parallel.threads = 0;  // the default: hardware concurrency
     prio_parallel.cache = &prio_cache;
     expect_same("priority parallel, cold cache", timed_run(mix, prio_parallel).entries,
                 prio_reference);
@@ -393,7 +393,7 @@ int main(int argc, char** argv) {
   // --- The paper's six-processor experiment (round robin). ---------------
   const auto mix6 = replicated_mix(6);
   warpsys::MultiWarpOptions serial_options;
-  serial_options.parallel = false;
+  serial_options.threads = 1;
   const auto fig4 = timed_run(mix6, serial_options);
 
   common::Table table({"Processor", "Benchmark", "SW (ms)", "Warped (ms)", "Speedup",
@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
   fifo_options.policy = warpsys::DpmQueuePolicy::kFifo;
   const auto fifo = timed_run(mix6, fifo_options);
   warpsys::MultiWarpOptions fifo_serial_options = fifo_options;
-  fifo_serial_options.parallel = false;
+  fifo_serial_options.threads = 1;
   const bool fifo_identical = timed_run(mix6, fifo_serial_options).entries == fifo.entries;
   common::Table fifo_table({"Processor", "Benchmark", "Request (ms)", "DPM job (ms)",
                             "DPM wait (ms)"});

@@ -185,11 +185,10 @@ Request make_key_request(std::size_t key_index) {
 // can pick a victim that provably owns live kernels. Deterministic: the
 // digests depend only on the assembled kernels, never on seeds or hosts.
 std::vector<unsigned> owners_of_keys(unsigned nodes) {
-  const serve::WarpdOptions engine;  // for the default ring_points_per_shard
   const auto base = experiments::default_options();
   std::vector<unsigned> members;
   for (unsigned id = 0; id < nodes; ++id) members.push_back(id);
-  const serve::ShardRing ring(members, engine.ring_points_per_shard);
+  const serve::ShardRing ring(members);
   std::vector<unsigned> owners;
   for (std::size_t k = 0; k < kAllKeys; ++k) {
     const auto digest = serve::kernel_digest_for(make_key_request(k), base);

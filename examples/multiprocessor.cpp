@@ -7,10 +7,11 @@
 // one after another, so later processors wait longer before their kernels
 // come online.
 //
-// Host-side, the default engine is threaded: one worker per processor runs
-// the software/warped simulations while the shared DPM serves partitioning
-// jobs in virtual-time order. The serial engine (parallel = false) computes
-// the exact same table — this example cross-checks that guarantee.
+// Host-side, the default engine is threaded: worker threads run the
+// software/warped simulations while the calling thread, as the shared DPM,
+// serves partitioning jobs in virtual-time order. The single-threaded
+// reference loop (threads = 1) computes the exact same table — this example
+// cross-checks that guarantee and exits 1 if it does not hold.
 #include <cstdio>
 #include <cstdlib>
 
@@ -57,10 +58,10 @@ int main() {
   }
   std::printf("\nall results bit-exact after warping: %s\n", all_ok ? "yes" : "NO");
 
-  // The parallel engine is a host-side optimization only: the serial
-  // reference engine must produce the identical table.
+  // The threaded engine is a host-side optimization only: the reference
+  // loop must produce the identical table.
   warpsys::MultiWarpOptions serial;
-  serial.parallel = false;
+  serial.threads = 1;
   auto serial_systems = build_systems(mix);
   const auto reference = warpsys::run_multiprocessor(serial_systems, mix, serial);
   const bool identical = reference == entries;

@@ -188,7 +188,7 @@ unsigned ClusterNode::owner_of(const common::Digest& digest) const {
     if (peer_live(*peer)) live.push_back(peer->id);
   }
   std::sort(live.begin(), live.end());
-  const ShardRing ring(live, std::max(1u, options_.server.engine.ring_points_per_shard));
+  const ShardRing ring(live);
   return ring.owner(digest);
 }
 

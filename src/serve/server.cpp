@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -66,17 +67,25 @@ common::Status SocketServer::start() {
     port_ = port.value();
     endpoint_.port = port_;
   }
+  if (::pipe2(wake_fds_, O_CLOEXEC) != 0) {
+    const common::Status status = errno_status("pipe");
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return status;
+  }
   started_ = true;
   accept_thread_ = std::thread([this] { accept_main(); });
   return common::Status::ok();
 }
 
 void SocketServer::accept_main() {
+  // No timeout: stop() wakes the poll through the self-pipe, so a stop
+  // never waits and a missed wake hangs instead of passing silently.
   while (!closing_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
+    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, -1);
     if (closing_.load()) break;
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
+    if (ready <= 0 || (pfds[0].revents & POLLIN) == 0) continue;
 
     int fd = -1;
     for (int attempt = 0; attempt < options_.io_retries; ++attempt) {
@@ -362,7 +371,15 @@ void SocketServer::stop() {
     stopped_ = true;
   }
   closing_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (accept_thread_.joinable()) {
+    // One byte into an empty pipe: cannot block, nothing to retry.
+    [[maybe_unused]] const ssize_t woke = ::write(wake_fds_[1], "", 1);
+    accept_thread_.join();
+  }
+  for (int& fd : wake_fds_) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

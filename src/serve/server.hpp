@@ -174,6 +174,7 @@ class SocketServer {
   Endpoint endpoint_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
+  int wake_fds_[2] = {-1, -1};  // self-pipe: stop() -> accept_main's poll
   std::atomic<bool> closing_{false};
   std::atomic<bool> drain_requested_{false};
   bool started_ = false;

@@ -88,10 +88,6 @@ common::Result<BuiltSession> build_session(const protocol::Request& request,
   return built;
 }
 
-}  // namespace
-
-namespace {
-
 std::vector<unsigned> dense_members(unsigned shards) {
   std::vector<unsigned> members(std::max(1u, shards));
   for (unsigned m = 0; m < members.size(); ++m) members[m] = m;
@@ -100,14 +96,13 @@ std::vector<unsigned> dense_members(unsigned shards) {
 
 }  // namespace
 
-ShardRing::ShardRing(unsigned shards, unsigned points_per_shard)
-    : ShardRing(dense_members(shards), points_per_shard) {}
+ShardRing::ShardRing(unsigned shards) : ShardRing(dense_members(shards)) {}
 
-ShardRing::ShardRing(const std::vector<unsigned>& members, unsigned points_per_shard)
+ShardRing::ShardRing(const std::vector<unsigned>& members)
     : shards_(static_cast<unsigned>(members.size())) {
-  points_.reserve(static_cast<std::size_t>(members.size()) * points_per_shard);
+  points_.reserve(static_cast<std::size_t>(members.size()) * kPointsPerShard);
   for (const unsigned member : members) {
-    for (unsigned point = 0; point < points_per_shard; ++point) {
+    for (unsigned point = 0; point < kPointsPerShard; ++point) {
       common::Hasher hasher;
       hasher.str("warpd.ring").u32(member).u32(point);
       points_.emplace_back(hasher.finish().lo, member);
@@ -156,11 +151,32 @@ void AdmissionController::finished() {
   bytes_ -= std::min(bytes_, options_.session_bytes);
 }
 
+std::string SeqStream::check(const std::optional<std::uint64_t>& seq,
+                             std::uint64_t served_below) const {
+  if (!seq) {
+    return mode_ == Mode::kExplicit ? "missing seq on a stream that started with seq" : "";
+  }
+  if (mode_ == Mode::kImplicit) return "seq on a stream that started without seq";
+  if (*seq < served_below) return "seq already served";
+  if (used_.count(*seq) != 0) return "duplicate seq";
+  return {};
+}
+
+std::uint64_t SeqStream::admit(const std::optional<std::uint64_t>& seq) {
+  if (!seq) {
+    mode_ = Mode::kImplicit;
+    return next_implicit_++;
+  }
+  mode_ = Mode::kExplicit;
+  used_.insert(*seq);
+  return *seq;
+}
+
 Warpd::Warpd(WarpdOptions options)
     : options_(std::move(options)),
       n_shards_(std::max(1u, options_.shards)),
       n_workers_(options_.workers ? options_.workers : std::thread::hardware_concurrency()),
-      ring_(n_shards_, std::max(1u, options_.ring_points_per_shard)),
+      ring_(n_shards_),
       admission_(options_.admission) {
   if (n_workers_ == 0) n_workers_ = 1;
   shard_queues_.resize(n_shards_);
@@ -186,19 +202,7 @@ void Warpd::submit(const protocol::Request& request, Callback done) {
   std::unique_lock lock(mutex_);
   // Seq checks, without committing: a shed request must not burn a seq slot
   // or lock the stream's seq mode.
-  if (err.empty()) {
-    if (request.seq) {
-      if (seq_mode_ == SeqMode::kImplicit) {
-        err = "seq on a stream that started without seq";
-      } else if (*request.seq < next_seq_) {
-        err = "seq already served";
-      } else if (used_seqs_.count(*request.seq) != 0) {
-        err = "duplicate seq";
-      }
-    } else if (seq_mode_ == SeqMode::kExplicit) {
-      err = "missing seq on a stream that started with seq";
-    }
-  }
+  if (err.empty()) err = seqs_.check(request.seq, next_seq_);
   std::optional<std::uint64_t> busy;
   if (err.empty()) {
     // A stopping engine sheds like a draining one: a request that races
@@ -233,12 +237,6 @@ void Warpd::submit(const protocol::Request& request, Callback done) {
     if (done) done(out);
     return;
   }
-  if (request.seq) {
-    used_seqs_.insert(*request.seq);
-    seq_mode_ = SeqMode::kExplicit;
-  } else {
-    seq_mode_ = SeqMode::kImplicit;
-  }
   auto session = std::make_unique<Session>();
   Session& s = *session;
   s.request = request;
@@ -248,7 +246,7 @@ void Warpd::submit(const protocol::Request& request, Callback done) {
     s.deadline = s.admitted + std::chrono::milliseconds(*request.deadline_ms);
   }
   s.index = sessions_.size();
-  s.seq = request.seq ? *request.seq : static_cast<std::uint64_t>(s.index);
+  s.seq = seqs_.admit(request.seq);
   s.entry.name = request.workload;
   pending_waits_[s.seq] = &s;
   sessions_.push_back(std::move(session));
@@ -317,18 +315,16 @@ void Warpd::worker_main() {
     }
     s.claimed = true;
     admission_.started();
-    if (options_.coalesce) {
-      const std::string key = coalesce_key_of(s.request);
-      auto leader = inflight_leaders_.find(key);
-      if (leader != inflight_leaders_.end()) {
-        // Identical request already in flight: subscribe as a follower and
-        // free this worker. The leader resolves us when it lands.
-        sessions_[leader->second]->followers.push_back(s.index);
-        continue;
-      }
-      inflight_leaders_.emplace(key, s.index);
-      s.coalesce_key = key;
+    const std::string key = coalesce_key_of(s.request);
+    auto leader = inflight_leaders_.find(key);
+    if (leader != inflight_leaders_.end()) {
+      // Identical request already in flight: subscribe as a follower and
+      // free this worker. The leader resolves us when it lands.
+      sessions_[leader->second]->followers.push_back(s.index);
+      continue;
     }
+    inflight_leaders_.emplace(key, s.index);
+    s.coalesce_key = key;
     ++stats_.pipeline_runs;
     lock.unlock();
 
@@ -531,8 +527,7 @@ void Warpd::deliver(std::optional<Delivery> delivery) {
 
 std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& requests,
                                        const WarpdOptions& options) {
-  const ShardRing ring(std::max(1u, options.shards),
-                       std::max(1u, options.ring_points_per_shard));
+  const ShardRing ring(options.shards);
   struct Row {
     bool accepted = false;
     bool has_job = false;
@@ -542,41 +537,23 @@ std::vector<SessionOutcome> run_serial(const std::vector<protocol::Request>& req
 
   // Admission mirrors Warpd::submit: same rejections, same seq assignment.
   // Serial execution is uncontended, so admission caps and deadlines never
-  // fire — every valid request is accepted.
-  enum class SeqMode { kUnset, kImplicit, kExplicit };
-  SeqMode mode = SeqMode::kUnset;
-  std::set<std::uint64_t> used_seqs;
-  std::uint64_t implicit_seq = 0;
+  // fire — every valid request is accepted — and nothing is reported before
+  // the whole stream is in, so no seq counts as already served.
+  SeqStream seqs;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const protocol::Request& request = requests[i];
     SessionOutcome& out = outcomes[i];
     out.id = request.id;
     out.node = options.node_id;
     std::string err = validate_request(request);
-    if (err.empty()) {
-      if (request.seq) {
-        if (mode == SeqMode::kImplicit) {
-          err = "seq on a stream that started without seq";
-        } else if (!used_seqs.insert(*request.seq).second) {
-          err = "duplicate seq";
-        } else {
-          mode = SeqMode::kExplicit;
-        }
-      } else {
-        if (mode == SeqMode::kExplicit) {
-          err = "missing seq on a stream that started with seq";
-        } else {
-          mode = SeqMode::kImplicit;
-        }
-      }
-    }
+    if (err.empty()) err = seqs.check(request.seq, 0);
     if (!err.empty()) {
       out.status = protocol::ReplyStatus::kErr;
       out.error = std::move(err);
       continue;
     }
     rows[i].accepted = true;
-    out.seq = request.seq ? *request.seq : implicit_seq++;
+    out.seq = seqs.admit(request.seq);
     out.entry.name = request.workload;
 
     const auto admitted = std::chrono::steady_clock::now();

@@ -52,7 +52,7 @@
 //               once per session in seq order, so the table is the same as
 //               if each follower had re-run the pipeline — coalescing is
 //               invisible in results, visible only in pipeline_runs/
-//               coalesced stats and host latency.
+//               coalesced stats and host latency, so it is always on.
 //   drain       begin_drain() makes admission shed everything (kBusy with
 //               the max retry hint) while in-flight sessions finish;
 //               drain() then waits them out. The socket layer builds
@@ -66,6 +66,7 @@
 // stalls *reporting* of later sessions until it arrives, and stop()
 // collapses any gap that never does) or none (implicit mode: seq =
 // admission order). The mode is locked by the first admitted request.
+// SeqStream holds these rules once, for both Warpd and run_serial.
 #pragma once
 
 #include <chrono>
@@ -93,7 +94,7 @@
 namespace warp::serve {
 
 /// Consistent-hash ring mapping kernel content hashes to shard owners.
-/// Each shard contributes `points_per_shard` ring points; a key is owned by
+/// Each shard contributes kPointsPerShard ring points; a key is owned by
 /// the first point at or after it (wrapping). Adding a shard therefore only
 /// moves the keys adjacent to its new points — and for a fixed member set
 /// the mapping is a pure function of the key, identical on every host.
@@ -102,12 +103,16 @@ namespace warp::serve {
 /// live warpd node ids): each member's points are hashed per (id, point),
 /// so removing a member only reassigns the ranges its own points covered —
 /// every other key keeps its owner (the smooth-resharding property,
-/// tests/shard_ring_test.cpp). ShardRing(n, p) is exactly
-/// ShardRing({0..n-1}, p), so in-engine shard routing is the same function.
+/// tests/shard_ring_test.cpp). ShardRing(n) is exactly ShardRing({0..n-1}),
+/// so in-engine shard routing is the same function.
 class ShardRing {
  public:
-  ShardRing(unsigned shards, unsigned points_per_shard = 16);
-  ShardRing(const std::vector<unsigned>& members, unsigned points_per_shard = 16);
+  /// Ring points per member. A constant, so every engine and every cluster
+  /// node routes a key to the same owner.
+  static constexpr unsigned kPointsPerShard = 16;
+
+  explicit ShardRing(unsigned shards);
+  explicit ShardRing(const std::vector<unsigned>& members);
   /// The owning member id (NOT an index into members). Returns the lowest
   /// member id on an empty ring so callers need no special case.
   unsigned owner(const common::Digest& key) const;
@@ -182,7 +187,6 @@ struct WarpdOptions {
   unsigned shards = 1;
   /// Session worker threads; 0 = std::thread::hardware_concurrency().
   unsigned workers = 0;
-  unsigned ring_points_per_shard = 16;
   /// Shared artifact cache consulted by every DPM job (not owned; may be
   /// null). Typically has a DiskArtifactStore attached — that is what makes
   /// repeat kernels disk hits across server restarts.
@@ -195,9 +199,6 @@ struct WarpdOptions {
   common::FaultInjector* fault = nullptr;
   /// Occupancy caps; disabled (unlimited) by default.
   AdmissionOptions admission;
-  /// Merge identical in-flight requests onto one pipeline run. Results are
-  /// bit-identical either way (gated by tests); off only for A/B benches.
-  bool coalesce = true;
   /// This engine's cluster node id, stamped on every outcome (and thus on
   /// every ok reply's node= field). 0 for a standalone server.
   std::uint32_t node_id = 0;
@@ -251,6 +252,27 @@ struct WarpdStats {
   bool draining = false;
   std::vector<ShardStats> shards;
   std::vector<double> latencies_ms;  // served (kOk) sessions, in seq order
+};
+
+/// The seq-stream rules of one engine, shared by Warpd::submit and
+/// run_serial. A stream either tags every request with a seq (explicit mode:
+/// seqs unique) or none (implicit mode: seq = admission order); the first
+/// admitted request locks the mode. Not thread-safe: Warpd calls it under
+/// its mutex.
+class SeqStream {
+ public:
+  /// Why a request carrying `seq` cannot be admitted, or empty if it can.
+  /// Seqs below `served_below` were already reported and are refused too.
+  std::string check(const std::optional<std::uint64_t>& seq,
+                    std::uint64_t served_below) const;
+  /// Admit the request: lock the mode and return the session's seq.
+  std::uint64_t admit(const std::optional<std::uint64_t>& seq);
+
+ private:
+  enum class Mode { kUnset, kImplicit, kExplicit };
+  Mode mode_ = Mode::kUnset;
+  std::set<std::uint64_t> used_;  // explicit mode duplicate detection
+  std::uint64_t next_implicit_ = 0;
 };
 
 class Warpd {
@@ -346,9 +368,7 @@ class Warpd {
   std::vector<std::set<std::pair<std::uint64_t, std::size_t>>> shard_queues_;
   std::map<std::uint64_t, Session*> pending_waits_;  // seq -> session
   std::uint64_t next_seq_ = 0;
-  std::set<std::uint64_t> used_seqs_;  // explicit mode duplicate detection
-  enum class SeqMode { kUnset, kImplicit, kExplicit };
-  SeqMode seq_mode_ = SeqMode::kUnset;
+  SeqStream seqs_;
   warpsys::DpmVirtualClock clock_;  // kRoundRobin: serves in seq order
   std::set<std::pair<std::uint64_t, std::uint64_t>> kernels_seen_;
   AdmissionController admission_;

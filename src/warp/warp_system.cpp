@@ -1,8 +1,8 @@
 #include "warp/warp_system.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -108,11 +108,6 @@ bool profile_phase(WarpSystem& system, MultiWarpEntry& entry) {
   }
 }
 
-// One DPM service: run the partitioning flow for this system. Fills the
-// entry's job time and detail; the caller accounts the wait. Returns whether
-// hardware came online. `cache` is the experiment-wide shared artifact
-// cache (may be null); safe here because every engine serializes DPM jobs
-// on a single thread, and the cache locks internally regardless.
 bool dpm_phase(WarpSystem& system, MultiWarpEntry& entry,
                partition::ArtifactCache* cache, common::FaultInjector* fault) {
   try {
@@ -126,8 +121,6 @@ bool dpm_phase(WarpSystem& system, MultiWarpEntry& entry,
   }
 }
 
-// Re-run after the DPM released the system (warped if partitioning
-// succeeded, the software fallback otherwise).
 void warped_phase(WarpSystem& system, MultiWarpEntry& entry, bool partitioned) {
   if (!partitioned) {
     // The application keeps running in software.
@@ -151,212 +144,160 @@ void warped_phase(WarpSystem& system, MultiWarpEntry& entry, bool partitioned) {
 
 namespace {
 
-// Per-system progress through the profile -> DPM -> warped pipeline.
-struct SystemProgress {
-  enum class Stage { kPending, kRequested, kNoJob, kGranted };
-  Stage stage = Stage::kPending;
-  double request_seconds = 0.0;  // virtual completion of the profiled run
-  bool partitioned = false;
-};
-
 int priority_of(const MultiWarpOptions& options, std::size_t index) {
   return index < options.priorities.size() ? options.priorities[index] : 0;
 }
 
-// Deterministic service order over the systems that filed a DPM request.
-std::vector<std::size_t> service_order(const MultiWarpOptions& options,
-                                       const std::vector<SystemProgress>& progress) {
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < progress.size(); ++i) {
-    if (progress[i].stage == SystemProgress::Stage::kRequested) order.push_back(i);
-  }
-  switch (options.policy) {
-    case DpmQueuePolicy::kRoundRobin:
-      break;  // already in processor-index order
-    case DpmQueuePolicy::kFifo:
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        if (progress[a].request_seconds != progress[b].request_seconds) {
-          return progress[a].request_seconds < progress[b].request_seconds;
-        }
-        return a < b;
-      });
-      break;
-    case DpmQueuePolicy::kPriority:
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const int pa = priority_of(options, a);
-        const int pb = priority_of(options, b);
-        if (pa != pb) return pa > pb;
-        return a < b;
-      });
-      break;
-  }
-  return order;
-}
+// The shared DPM's job queue: the service order, and the rule for when the
+// next job is known. Under round robin job i is known once systems 0..i have
+// filed. Under FIFO and priority it is known only once all n have filed (the
+// batch-arrival model): until then an unfiled system could still come first.
+// Not thread-safe; the threaded engine calls it under its mutex.
+class DpmQueue {
+ public:
+  DpmQueue(const MultiWarpOptions& options, std::size_t n)
+      : options_(options), requests_(n), filed_(n, false) {}
 
-unsigned resolve_threads(const MultiWarpOptions& options, std::size_t n) {
-  unsigned threads = options.threads ? options.threads : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  return static_cast<unsigned>(std::min<std::size_t>(threads, n));
-}
-
-// Run fn(i) for i in [0, n) across `threads` host threads (the calling
-// thread is one of them), claiming indices in increasing order.
-template <typename Fn>
-void parallel_for_systems(std::size_t n, unsigned threads, Fn&& fn) {
-  std::atomic<std::size_t> next{0};
-  auto body = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) break;
-      fn(i);
+  // System i finished its profiled run: `request_seconds` is its virtual
+  // request time, or nullopt if it files no job.
+  void file(std::size_t i, std::optional<double> request_seconds) {
+    const std::size_t n = filed_.size();
+    requests_[i] = request_seconds;
+    filed_[i] = true;
+    ++filed_count_;
+    if (options_.policy == DpmQueuePolicy::kRoundRobin) {
+      for (; known_ < n && filed_[known_]; ++known_) {
+        if (requests_[known_]) order_.push_back(known_);
+      }
+      return;
     }
-  };
-  std::vector<std::thread> pool;
-  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(body);
-  body();
-  for (auto& t : pool) t.join();
+    if (filed_count_ < n) return;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (requests_[j]) order_.push_back(j);
+    }
+    // A stable sort of an index-ordered list: ties go to the lower index.
+    std::stable_sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      if (options_.policy == DpmQueuePolicy::kFifo) return *requests_[a] < *requests_[b];
+      return priority_of(options_, a) > priority_of(options_, b);
+    });
+  }
+
+  // The next job to serve, if it is known yet.
+  std::optional<std::size_t> next() {
+    if (served_ == order_.size()) return std::nullopt;
+    return order_[served_++];
+  }
+
+  // Every system has filed and every job has been handed out.
+  bool drained() const { return filed_count_ == filed_.size() && served_ == order_.size(); }
+
+  double request_seconds(std::size_t i) const { return *requests_[i]; }
+
+ private:
+  const MultiWarpOptions& options_;
+  std::vector<std::optional<double>> requests_;
+  std::vector<bool> filed_;
+  std::size_t filed_count_ = 0;
+  std::size_t known_ = 0;           // round robin: systems 0..known_-1 have filed
+  std::vector<std::size_t> order_;  // known jobs, in service order
+  std::size_t served_ = 0;
+};
+
+// The profiled run; its DPM request time, or nullopt if it files no job.
+std::optional<double> profile_request(WarpSystem& system, MultiWarpEntry& entry) {
+  if (!profile_phase(system, entry)) return std::nullopt;
+  return entry.sw_seconds;
 }
 
-// Single-threaded reference engine: all profiles, then the DPM queue in the
-// policy's virtual-time order, then all re-runs. Identical arithmetic to the
-// parallel engine by construction.
-std::vector<MultiWarpEntry> run_multiprocessor_serial(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names, const MultiWarpOptions& options) {
+// One DPM service: the wait the policy reports, the flow, the clock.
+bool serve_job(DpmVirtualClock& clock, double request_seconds, WarpSystem& system,
+               MultiWarpEntry& entry, const MultiWarpOptions& options) {
+  entry.dpm_wait_seconds = clock.start(request_seconds);
+  const bool partitioned = dpm_phase(system, entry, options.cache, options.fault);
+  clock.finish(entry.dpm_seconds);
+  return partitioned;
+}
+
+// Single-threaded reference loop (the test oracle): every profile, then the
+// DPM jobs in service order, then every re-run.
+void run_reference(std::vector<std::unique_ptr<WarpSystem>>& systems,
+                   std::vector<MultiWarpEntry>& entries, const MultiWarpOptions& options) {
   const std::size_t n = systems.size();
-  std::vector<MultiWarpEntry> entries(n);
-  std::vector<SystemProgress> progress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    entries[i].name = (i < names.size()) ? names[i] : ("cpu" + std::to_string(i));
-    if (profile_phase(*systems[i], entries[i])) {
-      progress[i].stage = SystemProgress::Stage::kRequested;
-      progress[i].request_seconds = entries[i].sw_seconds;
-    } else {
-      progress[i].stage = SystemProgress::Stage::kNoJob;
-    }
-  }
-
+  DpmQueue queue(options, n);
+  for (std::size_t i = 0; i < n; ++i) queue.file(i, profile_request(*systems[i], entries[i]));
   DpmVirtualClock clock{options.policy};
-  for (const std::size_t i : service_order(options, progress)) {
-    entries[i].dpm_wait_seconds = clock.start(progress[i].request_seconds);
-    progress[i].partitioned = dpm_phase(*systems[i], entries[i], options.cache, options.fault);
-    clock.finish(entries[i].dpm_seconds);
+  std::vector<std::optional<bool>> partitioned(n);  // set once system i was served
+  while (const auto job = queue.next()) {
+    partitioned[*job] = serve_job(clock, queue.request_seconds(*job), *systems[*job],
+                                  entries[*job], options);
   }
-
   for (std::size_t i = 0; i < n; ++i) {
-    if (progress[i].stage == SystemProgress::Stage::kNoJob) continue;
-    warped_phase(*systems[i], entries[i], progress[i].partitioned);
+    if (partitioned[i]) warped_phase(*systems[i], entries[i], *partitioned[i]);
   }
-  return entries;
 }
 
-// Parallel round-robin engine: worker threads pipeline the profiled and
-// warped runs while the calling thread acts as the DPM scheduler. Because
-// round-robin serves strictly by processor index and workers claim systems
-// in increasing index order, the scheduler can serve each request as soon as
-// it arrives: the next job to serve is always from the lowest unserved
-// index, never from a later host arrival (the virtual-time guarantee).
-std::vector<MultiWarpEntry> run_multiprocessor_pipelined(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names, const MultiWarpOptions& options,
-    unsigned threads) {
+// Threaded engine. Workers profile systems in index order, then run the
+// re-runs the DPM has granted; a worker never waits on its own grant. The
+// calling thread is the DPM: it serves each job as soon as the queue knows
+// it, one at a time, so early re-runs overlap later profiles and DPM jobs.
+void run_threaded(std::vector<std::unique_ptr<WarpSystem>>& systems,
+                  std::vector<MultiWarpEntry>& entries, const MultiWarpOptions& options,
+                  unsigned threads) {
   const std::size_t n = systems.size();
-  std::vector<MultiWarpEntry> entries(n);
-  std::vector<SystemProgress> progress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    entries[i].name = (i < names.size()) ? names[i] : ("cpu" + std::to_string(i));
-  }
-
+  DpmQueue queue(options, n);
   std::mutex mutex;
-  std::condition_variable scheduler_cv;  // workers -> scheduler: request filed
-  std::condition_variable worker_cv;     // scheduler -> workers: job served
-  std::atomic<std::size_t> next{0};
+  std::condition_variable dpm_cv;     // workers -> DPM: a system filed
+  std::condition_variable worker_cv;  // DPM -> workers: a grant, or the DPM is done
+  std::size_t next_profile = 0;
+  std::deque<std::pair<std::size_t, bool>> granted;  // (system, partitioned)
+  bool dpm_done = false;
 
   auto worker = [&] {
+    std::unique_lock lock(mutex);
     for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) break;
-      const bool sw_ok = profile_phase(*systems[i], entries[i]);
-      bool partitioned = false;
-      {
-        std::unique_lock lock(mutex);
-        progress[i].request_seconds = entries[i].sw_seconds;
-        progress[i].stage =
-            sw_ok ? SystemProgress::Stage::kRequested : SystemProgress::Stage::kNoJob;
-        scheduler_cv.notify_one();
-        if (!sw_ok) continue;
-        worker_cv.wait(lock,
-                       [&] { return progress[i].stage == SystemProgress::Stage::kGranted; });
-        partitioned = progress[i].partitioned;
+      if (next_profile < n) {
+        const std::size_t i = next_profile++;
+        lock.unlock();
+        const std::optional<double> request = profile_request(*systems[i], entries[i]);
+        lock.lock();
+        queue.file(i, request);
+        dpm_cv.notify_one();
+      } else if (!granted.empty()) {
+        const auto [i, partitioned] = granted.front();
+        granted.pop_front();
+        lock.unlock();
+        warped_phase(*systems[i], entries[i], partitioned);
+        lock.lock();
+      } else if (dpm_done) {
+        return;
+      } else {
+        worker_cv.wait(lock);
       }
-      warped_phase(*systems[i], entries[i], partitioned);
     }
   };
-
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
 
-  // DPM scheduler: pop jobs in processor-index order as they arrive. The
-  // flow itself runs outside the lock — the owning worker is blocked until
-  // the grant, so the scheduler has exclusive use of the system.
+  // The DPM runs each flow outside the lock: the system's worker has filed
+  // and will not touch it again until the grant.
   DpmVirtualClock clock{options.policy};
-  for (std::size_t i = 0; i < n; ++i) {
-    std::unique_lock lock(mutex);
-    scheduler_cv.wait(
-        lock, [&] { return progress[i].stage != SystemProgress::Stage::kPending; });
-    if (progress[i].stage == SystemProgress::Stage::kNoJob) continue;
-    const double wait = clock.start(progress[i].request_seconds);
+  std::unique_lock lock(mutex);
+  for (;;) {
+    std::optional<std::size_t> job;
+    while (!(job = queue.next()) && !queue.drained()) dpm_cv.wait(lock);
+    if (!job) break;
+    const std::size_t i = *job;
+    const double request_seconds = queue.request_seconds(i);
     lock.unlock();
-    const bool partitioned = dpm_phase(*systems[i], entries[i], options.cache, options.fault);
+    const bool partitioned = serve_job(clock, request_seconds, *systems[i], entries[i], options);
     lock.lock();
-    entries[i].dpm_wait_seconds = wait;
-    clock.finish(entries[i].dpm_seconds);
-    progress[i].partitioned = partitioned;
-    progress[i].stage = SystemProgress::Stage::kGranted;
-    worker_cv.notify_all();
+    granted.emplace_back(i, partitioned);
+    worker_cv.notify_one();
   }
-
+  dpm_done = true;
+  worker_cv.notify_all();
+  lock.unlock();
   for (auto& t : pool) t.join();
-  return entries;
-}
-
-// Parallel kFifo/kPriority engine. Under these policies the service order
-// depends on every job's virtual request time (or static priority), so the
-// DPM cannot deterministically pop anything until all processors have filed
-// their requests — the batch-arrival contention model. Three phases, each
-// parallel or serial exactly as the single-server model dictates.
-std::vector<MultiWarpEntry> run_multiprocessor_batched(
-    std::vector<std::unique_ptr<WarpSystem>>& systems,
-    const std::vector<std::string>& names, const MultiWarpOptions& options,
-    unsigned threads) {
-  const std::size_t n = systems.size();
-  std::vector<MultiWarpEntry> entries(n);
-  std::vector<SystemProgress> progress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    entries[i].name = (i < names.size()) ? names[i] : ("cpu" + std::to_string(i));
-  }
-
-  parallel_for_systems(n, threads, [&](std::size_t i) {
-    if (profile_phase(*systems[i], entries[i])) {
-      progress[i].stage = SystemProgress::Stage::kRequested;
-      progress[i].request_seconds = entries[i].sw_seconds;
-    } else {
-      progress[i].stage = SystemProgress::Stage::kNoJob;
-    }
-  });
-
-  DpmVirtualClock clock{options.policy};
-  for (const std::size_t i : service_order(options, progress)) {
-    entries[i].dpm_wait_seconds = clock.start(progress[i].request_seconds);
-    progress[i].partitioned = dpm_phase(*systems[i], entries[i], options.cache, options.fault);
-    clock.finish(entries[i].dpm_seconds);
-  }
-
-  parallel_for_systems(n, threads, [&](std::size_t i) {
-    if (progress[i].stage == SystemProgress::Stage::kNoJob) return;
-    warped_phase(*systems[i], entries[i], progress[i].partitioned);
-  });
-  return entries;
 }
 
 }  // namespace
@@ -365,13 +306,18 @@ std::vector<MultiWarpEntry> run_multiprocessor(
     std::vector<std::unique_ptr<WarpSystem>>& systems,
     const std::vector<std::string>& names, const MultiWarpOptions& options) {
   const std::size_t n = systems.size();
-  if (n == 0) return {};
-  if (!options.parallel) return run_multiprocessor_serial(systems, names, options);
-  const unsigned threads = resolve_threads(options, n);
-  if (options.policy == DpmQueuePolicy::kRoundRobin) {
-    return run_multiprocessor_pipelined(systems, names, options, threads);
+  std::vector<MultiWarpEntry> entries(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    entries[i].name = (i < names.size()) ? names[i] : ("cpu" + std::to_string(i));
   }
-  return run_multiprocessor_batched(systems, names, options, threads);
+  unsigned threads = options.threads ? options.threads : std::thread::hardware_concurrency();
+  threads = static_cast<unsigned>(std::min<std::size_t>(threads, n));
+  if (threads <= 1) {
+    run_reference(systems, entries, options);
+  } else {
+    run_threaded(systems, entries, options, threads);
+  }
+  return entries;
 }
 
 std::vector<MultiWarpEntry> run_multiprocessor(

@@ -16,12 +16,12 @@
 // each processor is profiled and warped in turn, so processor i waits for
 // i-1 partitioning jobs before its own hardware comes online.
 //
-// run_multiprocessor simulates that N-processor system. Host execution can
-// be serial (one system after another) or parallel (one worker thread per
-// system plus a DPM scheduler thread); either way the shared DPM is a
-// single-server queue ordered by *virtual* time, so the reported waits,
-// speedups and partitions are bit-identical across host modes and thread
-// counts. See DpmQueuePolicy for the service-order knob.
+// run_multiprocessor simulates that N-processor system, either in the
+// single-threaded reference loop or in one threaded engine (worker threads
+// for the simulations, the calling thread as the DPM). Either way the shared
+// DPM is a single-server queue ordered by *virtual* time, so the reported
+// waits, speedups and partitions are bit-identical across thread counts.
+// See DpmQueuePolicy for the service order.
 #pragma once
 
 #include <functional>
@@ -129,13 +129,14 @@ enum class DpmQueuePolicy {
   /// First-come-first-served by virtual request time — the instant the
   /// profiled software run completes — with ties broken by processor index.
   /// The wait is the queueing delay between request and service start.
+  /// Batch-arrival model: the order is known only once every processor has
+  /// filed its request (that is what makes it deterministic); sorting by
+  /// request time keeps the waits those of a work-conserving FIFO.
   kFifo,
   /// Served by descending MultiWarpOptions::priorities entry (missing
-  /// entries are 0), ties broken by processor index. Waits as in kFifo.
-  /// Batch-arrival model: the DPM starts service only once every processor
-  /// has filed its request (that is what makes the order deterministic), so
-  /// a low-priority job's wait can include DPM idle time spent before the
-  /// higher-priority jobs were even requested.
+  /// entries are 0), ties broken by processor index. Waits and batch
+  /// arrival as in kFifo, so a low-priority job's wait can include DPM idle
+  /// time spent before the higher-priority jobs were even requested.
   kPriority,
 };
 
@@ -179,11 +180,9 @@ bool dpm_phase(WarpSystem& system, MultiWarpEntry& entry,
 void warped_phase(WarpSystem& system, MultiWarpEntry& entry, bool partitioned);
 
 struct MultiWarpOptions {
-  /// Host execution: worker threads + DPM scheduler thread when true, the
-  /// single-threaded reference loop when false. Results are identical.
-  bool parallel = true;
   /// Worker thread count; 0 means std::thread::hardware_concurrency(),
-  /// always clamped to the number of systems. Ignored when !parallel.
+  /// always clamped to the number of systems. One thread means the
+  /// single-threaded reference loop. Results are identical for any count.
   unsigned threads = 0;
   DpmQueuePolicy policy = DpmQueuePolicy::kRoundRobin;
   /// Per-processor priorities for DpmQueuePolicy::kPriority (higher first).
@@ -204,7 +203,7 @@ struct MultiWarpOptions {
 /// Run N workloads through one shared DPM (Figure 4). Each system is
 /// profiled, partitioned by the shared DPM in the policy's virtual-time
 /// order, and re-run warped. The two-argument form is the paper's
-/// round-robin experiment with default (parallel) host execution.
+/// round-robin experiment with the default thread count.
 std::vector<MultiWarpEntry> run_multiprocessor(
     std::vector<std::unique_ptr<WarpSystem>>& systems,
     const std::vector<std::string>& names,

@@ -438,7 +438,7 @@ TEST(ArtifactCodec, FailureArtifactsRoundTrip) {
 TEST(DiskStore, WarmRestartServesFromDiskBitIdentically) {
   TempDir dir("warm");
   MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   const auto reference = run_mix(kMix, serial_off).entries;
 
   {
@@ -470,7 +470,7 @@ TEST(DiskStore, WarmRestartServesFromDiskBitIdentically) {
 TEST(DiskStore, TornWriteCrashConsistencyAcrossReopen) {
   TempDir dir("torn");
   MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   const auto reference = run_mix(kMix, serial_off).entries;
 
   common::FaultConfig torn;
@@ -521,7 +521,7 @@ TEST(DiskStore, TornWriteCrashConsistencyAcrossReopen) {
 
 TEST(FaultInjection, TransientSchedulesAreBitIdentical) {
   MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   const auto reference = run_mix(kMix, serial_off).entries;
 
   std::uint64_t injected = 0;
@@ -542,7 +542,7 @@ TEST(FaultInjection, PersistentStageFaultFallsBackToSoftware) {
   common::FaultInjector fault(lethal);
 
   MultiWarpOptions options;
-  options.parallel = false;
+  options.threads = 1;
   options.fault = &fault;
   const auto run = run_mix(kMix, options);
   ASSERT_EQ(run.entries.size(), kMix.size());

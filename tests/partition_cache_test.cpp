@@ -38,7 +38,7 @@ constexpr std::size_t kUnique = 3;
 
 TEST(PartitionCache, ColdAndWarmCacheMatchCacheOffReference) {
   MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   const auto reference = run_mix(kMix, serial_off).entries;
   ASSERT_EQ(reference.size(), kMix.size());
 
@@ -60,7 +60,7 @@ TEST(PartitionCache, ColdAndWarmCacheMatchCacheOffReference) {
 
 TEST(PartitionCache, ThreadCountsShareOneCacheBitIdentically) {
   MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   const auto reference = run_mix(kMix, serial_off).entries;
 
   partition::ArtifactCache cache;  // shared across all thread counts
@@ -78,13 +78,12 @@ TEST(PartitionCache, AllQueuePoliciesBitIdenticalWithSharedCache) {
   for (const DpmQueuePolicy policy :
        {DpmQueuePolicy::kRoundRobin, DpmQueuePolicy::kFifo, DpmQueuePolicy::kPriority}) {
     MultiWarpOptions serial_off;
-    serial_off.parallel = false;
+    serial_off.threads = 1;
     serial_off.policy = policy;
     serial_off.priorities = {1, 4, 0, 5, 2, 3};
     const auto reference = run_mix(kMix, serial_off).entries;
 
     MultiWarpOptions parallel_on = serial_off;
-    parallel_on.parallel = true;
     parallel_on.threads = 2;
     parallel_on.cache = &cache;
     EXPECT_EQ(run_mix(kMix, parallel_on).entries, reference)
@@ -94,7 +93,7 @@ TEST(PartitionCache, AllQueuePoliciesBitIdenticalWithSharedCache) {
 
 TEST(PartitionCache, PerStageVirtualTimesBitIdentical) {
   MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   const auto reference = run_mix(kMix, serial_off);
 
   partition::ArtifactCache cache;
@@ -192,7 +191,7 @@ TEST(PartitionCache, ByteCapTracksEncodedSizesAndEvicts) {
 
 TEST(PartitionCache, BoundedCacheStaysBitIdenticalEndToEnd) {
   MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   const auto reference = run_mix(kMix, serial_off).entries;
 
   // A cap small enough to evict mid-run: correctness must not depend on
@@ -240,7 +239,7 @@ TEST(PartitionCache, FailedPartitionsAreCachedIdentically) {
   const std::vector<std::string> names = {"chase0", "chase1", "chase2"};
 
   MultiWarpOptions serial_off;
-  serial_off.parallel = false;
+  serial_off.threads = 1;
   auto off_systems = build();
   const auto reference = warpsys::run_multiprocessor(off_systems, names, serial_off);
   ASSERT_EQ(reference.size(), 3u);

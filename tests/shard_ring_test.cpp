@@ -36,8 +36,8 @@ std::vector<Digest> make_keys(std::size_t count) {
 
 TEST(ShardRingTest, OwnershipIsDeterministic) {
   const auto keys = make_keys(2048);
-  const ShardRing a(4, 16);
-  const ShardRing b(4, 16);
+  const ShardRing a(4);
+  const ShardRing b(4);
   for (const auto& key : keys) {
     EXPECT_EQ(a.owner(key), b.owner(key));
   }
@@ -45,8 +45,8 @@ TEST(ShardRingTest, OwnershipIsDeterministic) {
 
 TEST(ShardRingTest, DenseCtorMatchesMembershipCtor) {
   const auto keys = make_keys(2048);
-  const ShardRing dense(3, 16);
-  const ShardRing members({0, 1, 2}, 16);
+  const ShardRing dense(3);
+  const ShardRing members({0, 1, 2});
   for (const auto& key : keys) {
     EXPECT_EQ(dense.owner(key), members.owner(key));
   }
@@ -54,7 +54,7 @@ TEST(ShardRingTest, DenseCtorMatchesMembershipCtor) {
 
 TEST(ShardRingTest, OwnerIsAlwaysAMember) {
   const std::vector<unsigned> ids = {3, 7, 42};  // sparse, non-contiguous
-  const ShardRing ring(ids, 16);
+  const ShardRing ring(ids);
   const std::set<unsigned> member_set(ids.begin(), ids.end());
   for (const auto& key : make_keys(2048)) {
     EXPECT_TRUE(member_set.count(ring.owner(key))) << ring.owner(key);
@@ -62,7 +62,7 @@ TEST(ShardRingTest, OwnerIsAlwaysAMember) {
 }
 
 TEST(ShardRingTest, EmptyRingFallsBackToZero) {
-  const ShardRing ring(std::vector<unsigned>{}, 16);
+  const ShardRing ring(std::vector<unsigned>{});
   for (const auto& key : make_keys(16)) {
     EXPECT_EQ(ring.owner(key), 0u);
   }
@@ -75,7 +75,7 @@ TEST(ShardRingTest, DistributionIsRoughlyBalanced) {
   // a permanent pass.
   const std::size_t kKeys = 20000;
   const unsigned kMembers = 4;
-  const ShardRing ring(kMembers, 16);
+  const ShardRing ring(kMembers);
   std::map<unsigned, std::size_t> counts;
   for (const auto& key : make_keys(kKeys)) ++counts[ring.owner(key)];
   EXPECT_EQ(counts.size(), kMembers);
@@ -93,8 +93,8 @@ TEST(ShardRingTest, MemberLeaveMovesOnlyItsOwnKeys) {
   for (unsigned id : before_ids) {
     if (id != departed) after_ids.push_back(id);
   }
-  const ShardRing before(before_ids, 16);
-  const ShardRing after(after_ids, 16);
+  const ShardRing before(before_ids);
+  const ShardRing after(after_ids);
   std::size_t moved = 0;
   for (const auto& key : keys) {
     const unsigned owner_before = before.owner(key);
@@ -114,9 +114,9 @@ TEST(ShardRingTest, MemberLeaveMovesOnlyItsOwnKeys) {
 
 TEST(ShardRingTest, MemberJoinStealsOnlyForItself) {
   const auto keys = make_keys(8192);
-  const ShardRing before({0, 1, 2}, 16);
+  const ShardRing before({0, 1, 2});
   const unsigned joined = 3;
-  const ShardRing after({0, 1, 2, 3}, 16);
+  const ShardRing after({0, 1, 2, 3});
   std::size_t stolen = 0;
   for (const auto& key : keys) {
     const unsigned owner_before = before.owner(key);
@@ -135,8 +135,8 @@ TEST(ShardRingTest, LeaveThenRejoinRestoresTheOriginalMap) {
   // exactly the pre-failure routing, or a revived node would permanently
   // fragment the cluster-wide once-per-kernel cache.
   const auto keys = make_keys(4096);
-  const ShardRing original({0, 1, 2}, 16);
-  const ShardRing rejoined({0, 1, 2}, 16);
+  const ShardRing original({0, 1, 2});
+  const ShardRing rejoined({0, 1, 2});
   for (const auto& key : keys) {
     EXPECT_EQ(original.owner(key), rejoined.owner(key));
   }
